@@ -327,6 +327,7 @@ void Cluster::start_replay(const workload::Workload& workload,
   // delay and stretches the run when service times exceed the spacing
   // (the paper's 50 MB "test ran longer than the original trace time").
   replay_queues_.assign(clients_.size(), {});
+  open_requests_.assign(clients_.size(), {});
   for (const trace::TraceRecord& r : workload.requests.records()) {
     replay_queues_[r.client % clients_.size()].push_back(r);
   }
@@ -342,6 +343,7 @@ void Cluster::start_replay(const workload::Workload& workload,
 void Cluster::start_stream_replay(Tick replay_start) {
   all_issued_ = true;  // the pump + per-client chains cover every record
   replay_queues_.assign(clients_.size(), {});
+  open_requests_.assign(clients_.size(), {});
   // Every client starts idle; the pump wakes each one as its first
   // record enters the look-ahead window.
   client_waiting_.assign(clients_.size(), true);
@@ -392,68 +394,74 @@ void Cluster::pump_stream(Tick replay_start) {
 
 void Cluster::issue_next(std::size_t client_idx, Tick replay_start) {
   auto& queue = replay_queues_[client_idx];
-  const trace::TraceRecord r = queue.front();
+  OpenRequest& req = open_requests_[client_idx];
+  req.r = queue.front();
+  req.replay_start = replay_start;
   queue.pop_front();
   if (stream_mode_) --stream_resident_;
-  start_attempt(client_idx, r, replay_start, 0);
+  start_attempt(client_idx, 0);
 }
 
-void Cluster::start_attempt(std::size_t client_idx,
-                            const trace::TraceRecord& r, Tick replay_start,
-                            std::size_t attempt) {
-  Client& client = clients_[client_idx];
-  const Tick issued = sim_->now();
-  // One attempt can end two ways — a typed completion from the stack, or
-  // the client-side deadline.  Whichever fires first wins; the guard
-  // makes the loser a no-op (a late reply to a timed-out attempt is
-  // dropped, like a closed socket).
-  auto settled = std::make_shared<bool>(false);
-  auto deadline = std::make_shared<sim::EventHandle>();
-  auto finish = [this, client_idx, r, replay_start, attempt, issued, settled,
-                 deadline](Tick t, RequestStatus st) {
-    if (*settled) return;
-    *settled = true;
-    deadline->cancel();
-    if (tracer_->wants(obs::kCatClient)) {
-      tracer_->complete(
-          issued, t - issued, obs::kCatClient, obs::TraceLevel::kInfo,
-          ev_client_request_,
-          tracer_->intern(format("client%zu", client_idx)),
-          tracer_->intern(to_string(st)), static_cast<std::int64_t>(r.file),
-          static_cast<std::int64_t>(attempt));
-    }
-    if (request_ok(st)) {
-      hist_req_latency_->record(static_cast<std::uint64_t>(t - issued));
-      clients_[client_idx].record_response(issued, t);
-      if (attempt > 0) ++recovered_by_retry_;
-      complete_request(client_idx, replay_start);
-      return;
-    }
-    if (st == RequestStatus::kTimedOut) ++timed_out_requests_;
-    if (attempt < config_.max_request_retries) {
-      ++client_retries_;
-      start_attempt(client_idx, r, replay_start, attempt + 1);
-      return;
-    }
-    ++failed_requests_;
-    EEVFS_DEBUG() << "request for file " << r.file << " failed: "
-                  << to_string(st);
-    complete_request(client_idx, replay_start);
-  };
-
+void Cluster::start_attempt(std::size_t client_idx, std::size_t attempt) {
+  OpenRequest& req = open_requests_[client_idx];
+  req.issued = sim_->now();
+  req.attempt = attempt;
+  req.settled = false;
+  const std::uint64_t seq = ++req.seq;
   if (config_.request_timeout_sec > 0) {
-    *deadline = sim_->schedule_after(
+    req.deadline = sim_->schedule_after(
         seconds_to_ticks(config_.request_timeout_sec),
-        [this, finish] { finish(sim_->now(), RequestStatus::kTimedOut); });
+        [this, client_idx, seq] {
+          settle_attempt(client_idx, seq, sim_->now(),
+                         RequestStatus::kTimedOut);
+        });
   }
-  // Step 5: the client asks the server; step 6 delivers data back.
-  net_->send(client.endpoint(), server_->endpoint(),
-             net::kControlMessageBytes, [this, r, client_idx, finish](Tick) {
-               server_->route(r, clients_[client_idx].endpoint(),
-                              [finish](Tick t, RequestStatus st) {
-                                finish(t, st);
+  // Step 5: the client asks the server; step 6 delivers data back.  The
+  // server routes the record this attempt was issued for, even when the
+  // attempt has timed out by the time the ask arrives.
+  const net::EndpointId endpoint = clients_[client_idx].endpoint();
+  net_->send(endpoint, server_->endpoint(), net::kControlMessageBytes,
+             [this, r = req.r, endpoint, client_idx, seq](Tick) {
+               server_->route(r, endpoint,
+                              [this, client_idx, seq](Tick t, RequestStatus st) {
+                                settle_attempt(client_idx, seq, t, st);
                               });
              });
+}
+
+void Cluster::settle_attempt(std::size_t client_idx, std::uint64_t seq,
+                             Tick t, RequestStatus st) {
+  // One attempt can end two ways — a typed completion from the stack, or
+  // the client-side deadline.  Whichever fires first wins; the loser (or
+  // a late reply to an earlier attempt) is a no-op, like a closed socket.
+  OpenRequest& req = open_requests_[client_idx];
+  if (seq != req.seq || req.settled) return;
+  req.settled = true;
+  req.deadline.cancel();
+  if (tracer_->wants(obs::kCatClient)) {
+    tracer_->complete(
+        req.issued, t - req.issued, obs::kCatClient, obs::TraceLevel::kInfo,
+        ev_client_request_, tracer_->intern(format("client%zu", client_idx)),
+        tracer_->intern(to_string(st)), static_cast<std::int64_t>(req.r.file),
+        static_cast<std::int64_t>(req.attempt));
+  }
+  if (request_ok(st)) {
+    hist_req_latency_->record(static_cast<std::uint64_t>(t - req.issued));
+    clients_[client_idx].record_response(req.issued, t);
+    if (req.attempt > 0) ++recovered_by_retry_;
+    complete_request(client_idx, req.replay_start);
+    return;
+  }
+  if (st == RequestStatus::kTimedOut) ++timed_out_requests_;
+  if (req.attempt < config_.max_request_retries) {
+    ++client_retries_;
+    start_attempt(client_idx, req.attempt + 1);
+    return;
+  }
+  ++failed_requests_;
+  EEVFS_DEBUG() << "request for file " << req.r.file << " failed: "
+                << to_string(st);
+  complete_request(client_idx, req.replay_start);
 }
 
 void Cluster::complete_request(std::size_t client_idx, Tick replay_start) {

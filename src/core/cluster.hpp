@@ -115,9 +115,13 @@ class Cluster {
   /// record's window entry.
   void pump_stream(Tick replay_start);
   void issue_next(std::size_t client_idx, Tick replay_start);
-  /// One attempt of one request: deadline-guarded, typed completion.
-  void start_attempt(std::size_t client_idx, const trace::TraceRecord& r,
-                     Tick replay_start, std::size_t attempt);
+  /// One attempt of the client's open request: deadline-guarded, typed
+  /// completion.
+  void start_attempt(std::size_t client_idx, std::size_t attempt);
+  /// Ends attempt `seq` of the client's open request (first caller wins):
+  /// records the response, retries, or gives up.
+  void settle_attempt(std::size_t client_idx, std::uint64_t seq, Tick t,
+                      RequestStatus st);
   /// Advances the client's replay chain and the run-completion count.
   void complete_request(std::size_t client_idx, Tick replay_start);
   void finish_run();
@@ -145,6 +149,19 @@ class Cluster {
   std::size_t responses_outstanding_ = 0;
   bool all_issued_ = false;
   std::vector<std::deque<trace::TraceRecord>> replay_queues_;
+  /// The one request a closed-loop client has outstanding.  `seq` numbers
+  /// the client's attempts, so completions of an earlier attempt, or of
+  /// an earlier request, find a newer seq and drop out.
+  struct OpenRequest {
+    trace::TraceRecord r{};
+    Tick replay_start = 0;
+    Tick issued = 0;
+    std::size_t attempt = 0;
+    std::uint64_t seq = 0;
+    bool settled = true;
+    sim::EventHandle deadline;
+  };
+  std::vector<OpenRequest> open_requests_;  // one per client
   bool finished_ = false;
   RunMetrics metrics_;
 

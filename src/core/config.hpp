@@ -81,9 +81,6 @@ struct ClusterConfig {
   /// NIC, PSU loss).  Calibrated so that the modelled cluster lands in
   /// the paper's 4-8e5 J band with a ~17 % ceiling on disk savings.
   Watts node_base_watts = 50.0;
-  /// Meter the storage server and clients too?  The paper measured only
-  /// the storage nodes, so this defaults to off.
-  bool meter_server_and_clients = false;
 
   // --- EEVFS policies ------------------------------------------------
   bool enable_prefetch = true;           // PF vs NPF

@@ -52,7 +52,7 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
   power_ = std::make_unique<PowerManager>(sim_, params_.power, managed);
 
   pending_writes_.resize(data_disks_.size());
-  flush_in_progress_.assign(data_disks_.size(), false);
+  batch_left_.assign(data_disks_.size(), 0);
 
   // A data disk entering kFailed strands the destages queued for it —
   // dropping them (counted) keeps the teardown drain from wedging on a
@@ -84,22 +84,6 @@ void StorageNode::set_ram_observer(obs::Histogram* hit_bytes,
                                    obs::Histogram* miss_bytes) {
   hist_ram_hit_bytes_ = hit_bytes;
   hist_ram_miss_bytes_ = miss_bytes;
-}
-
-StorageNode::ServeCallback StorageNode::trace_serve(obs::StringId op,
-                                                    trace::FileId f,
-                                                    Bytes bytes,
-                                                    ServeCallback cb) {
-  if (!tracer_ || !tracer_->wants(obs::kCatNode)) return cb;
-  const Tick start = sim_.now();
-  return [this, op, f, bytes, start, inner = std::move(cb)](
-             Tick t, RequestStatus st) {
-    tracer_->complete(start, t - start, obs::kCatNode, obs::TraceLevel::kInfo,
-                      op, track_, tracer_->intern(to_string(st)),
-                      static_cast<std::int64_t>(f),
-                      static_cast<std::int64_t>(bytes));
-    inner(t, st);
-  };
 }
 
 void StorageNode::create_file(trace::FileId f, Bytes size) {
@@ -243,8 +227,7 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
 
 void StorageNode::submit_with_retry(
     disk::DiskModel* target, Bytes bytes, bool sequential, bool is_write,
-    Tick issued, std::size_t attempt,
-    std::function<void(Tick, disk::IoStatus)> done,
+    Tick issued, std::size_t attempt, IoCallback done,
     std::size_t power_managed_disk) {
   const std::uint64_t ep = epoch_;
   disk::DiskRequest req;
@@ -278,29 +261,43 @@ void StorageNode::submit_with_retry(
     done(t, st);
   };
   if (power_managed_disk != kNotPowerManaged) {
-    submit_to_data_disk(power_managed_disk, std::move(req));
-  } else {
-    target->submit(std::move(req));
+    // A data-disk arrival: the power manager hears of it, and a sleeping
+    // target is an on-demand wake.
+    power_->note_arrival(power_managed_disk);
+    if (!disk::is_spun_up(target->state())) ++wakeups_on_demand_;
   }
+  target->submit(std::move(req));
 }
 
 void StorageNode::stripe_io(const LocalFileMeta& file, Bytes bytes,
                             bool is_write, bool notify_power_manager,
-                            std::function<void(Tick, disk::IoStatus)> done) {
+                            IoCallback done) {
+  if (file.disks.size() == 1) {
+    const std::size_t d = file.disks.front();
+    submit_with_retry(data_disks_[d].get(), bytes, /*sequential=*/false,
+                      is_write, sim_.now(), 0, std::move(done),
+                      notify_power_manager ? d : kNotPowerManaged);
+    return;
+  }
   const auto width = static_cast<Bytes>(file.disks.size());
   const Bytes per_disk = (bytes + width - 1) / width;
-  auto outstanding = std::make_shared<std::size_t>(file.disks.size());
-  auto worst = std::make_shared<disk::IoStatus>(disk::IoStatus::kOk);
-  auto shared_done =
-      std::make_shared<std::function<void(Tick, disk::IoStatus)>>(
-          std::move(done));
+  const std::uint64_t id = next_join_id_++;
+  joins_.emplace(id, StripeJoin{file.disks.size(), disk::IoStatus::kOk,
+                                std::move(done)});
   for (const std::size_t d : file.disks) {
     submit_with_retry(
         data_disks_[d].get(), per_disk, /*sequential=*/false, is_write,
         sim_.now(), 0,
-        [outstanding, worst, shared_done](Tick t, disk::IoStatus st) {
-          if (static_cast<int>(st) > static_cast<int>(*worst)) *worst = st;
-          if (--*outstanding == 0 && *shared_done) (*shared_done)(t, *worst);
+        [this, id](Tick t, disk::IoStatus st) {
+          auto it = joins_.find(id);
+          StripeJoin& join = it->second;
+          if (static_cast<int>(st) > static_cast<int>(join.worst)) {
+            join.worst = st;
+          }
+          if (--join.outstanding > 0) return;
+          StripeJoin last = std::move(join);
+          joins_.erase(it);
+          if (last.done) last.done(t, last.worst);
         },
         notify_power_manager ? d : kNotPowerManaged);
   }
@@ -344,38 +341,50 @@ void StorageNode::copy_into_buffer(trace::FileId f,
                 done();
                 return;
               }
-              const auto bd =
-                  healthy_buffer_disk(buffered_count_ % buffer_disks_.size());
-              if (read_st != disk::IoStatus::kOk || !bd) {
+              if (read_st != disk::IoStatus::kOk) {
                 // A faulted copy just leaves the file unbuffered.
                 buffer_->erase(f);
                 done();
                 return;
               }
-              disk::DiskRequest write;
-              write.bytes = bytes;
-              write.sequential = true;  // buffer disks are log-structured
-              write.is_write = true;
-              write.on_complete = [this, f, bytes, ep, bd = *bd,
-                                   done](Tick, disk::IoStatus write_st) {
-                if (ep != epoch_) {
-                  done();
-                  return;
-                }
-                if (write_st != disk::IoStatus::kOk) {
-                  buffer_->erase(f);
-                  done();
-                  return;
-                }
-                LocalFileMeta& meta = meta_.at(f);
-                meta.buffered = true;
-                meta.buffer_disk = bd;
-                bytes_prefetched_ += bytes;
+              write_buffer_copy(f, [this, bytes, done](bool landed) {
+                if (landed) bytes_prefetched_ += bytes;
                 done();
-              };
-              ++buffered_count_;
-              buffer_disks_[*bd]->submit(std::move(write));
+              });
             });
+}
+
+void StorageNode::write_buffer_copy(trace::FileId f,
+                                    std::function<void(bool)> done) {
+  const auto bd = healthy_buffer_disk(buffered_count_ % buffer_disks_.size());
+  if (!bd) {
+    buffer_->erase(f);  // no live buffer disk to hold the copy
+    done(false);
+    return;
+  }
+  ++buffered_count_;
+  const std::uint64_t ep = epoch_;
+  disk::DiskRequest write;
+  write.bytes = meta_.at(f).size;
+  write.sequential = true;  // buffer disks are log-structured
+  write.is_write = true;
+  write.on_complete = [this, f, ep, bd = *bd,
+                       done = std::move(done)](Tick, disk::IoStatus st) {
+    if (ep != epoch_) {
+      done(false);
+      return;
+    }
+    if (st != disk::IoStatus::kOk) {
+      buffer_->erase(f);
+      done(false);
+      return;
+    }
+    LocalFileMeta& meta = meta_.at(f);
+    meta.buffered = true;
+    meta.buffer_disk = bd;
+    done(true);
+  };
+  buffer_disks_[*bd]->submit(std::move(write));
 }
 
 void StorageNode::pin_into_ram(trace::FileId f, std::function<void()> done) {
@@ -398,22 +407,10 @@ void StorageNode::pin_into_ram(trace::FileId f, std::function<void()> done) {
             });
 }
 
-std::uint64_t StorageNode::ram_weight(trace::FileId f) const {
-  const auto it = pattern_.find(f);
-  return it == pattern_.end() ? 0
-                              : static_cast<std::uint64_t>(it->second.size());
-}
-
-void StorageNode::ram_admit(trace::FileId f, Bytes bytes) {
-  const auto res = ram_->admit(f, bytes, ram_weight(f));
-  ram_evictions_ += static_cast<std::uint64_t>(res.evicted.size());
-}
-
 void StorageNode::begin_replay(Tick replay_start) {
   if (!plan_ready_) {
     throw std::logic_error("StorageNode: begin_replay before start_prefetch");
   }
-  replay_start_ = replay_start;
   if (params_.power.policy == PowerPolicy::kHints ||
       params_.power.policy == PowerPolicy::kOracle) {
     for (std::size_t d = 0; d < data_disks_.size(); ++d) {
@@ -451,15 +448,6 @@ void StorageNode::update_prefetch(const std::vector<trace::FileId>& wanted) {
   }
 }
 
-void StorageNode::submit_to_data_disk(std::size_t disk,
-                                      disk::DiskRequest request) {
-  power_->note_arrival(disk);
-  if (!disk::is_spun_up(data_disks_[disk]->state())) {
-    ++wakeups_on_demand_;
-  }
-  data_disks_[disk]->submit(std::move(request));
-}
-
 std::optional<std::size_t> StorageNode::healthy_buffer_disk(
     std::size_t preferred) const {
   if (buffer_disks_.empty()) return std::nullopt;
@@ -480,26 +468,12 @@ bool StorageNode::stripe_set_alive(const LocalFileMeta& file) const {
 void StorageNode::on_data_disk_failed(std::size_t d) {
   auto dropped = std::move(pending_writes_[d]);
   pending_writes_[d].clear();
-  for (const PendingWrite& w : dropped) {
-    if (buffer_) buffer_->release_write(w.bytes);
-    ++writes_stranded_;
-    retire_destage(w);
-    backlog_sub(w.bytes);
-  }
+  for (const PendingWrite& w : dropped) retire_destage(w, /*landed=*/false);
   if (!dropped.empty()) {
     EEVFS_DEBUG() << "node " << params_.id << ": disk " << d << " failed, "
                   << dropped.size() << " destages stranded";
     notify_flush_waiters();
   }
-}
-
-void StorageNode::read_via_buffer(
-    trace::FileId f, Bytes bytes,
-    std::function<void(Tick, disk::IoStatus)> done) {
-  const LocalFileMeta& meta = meta_.at(f);
-  submit_with_retry(buffer_disks_[meta.buffer_disk].get(), bytes,
-                    /*sequential=*/true, /*is_write=*/false, sim_.now(), 0,
-                    std::move(done), kNotPowerManaged);
 }
 
 Joules StorageNode::degraded_read_energy_estimate(Bytes bytes) const {
@@ -520,14 +494,9 @@ void StorageNode::crash() {
   // Every open serve dies with the process: settle each with a typed
   // connection-reset on the next tick.  The disk I/O it was waiting on
   // still completes at media level, but the stale epoch drops its
-  // effects on node state.
-  auto open = std::move(open_serves_);
-  open_serves_.clear();
-  for (auto& [id, cb] : open) {
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, cb = std::move(cb)] {
-      cb(sim_.now(), RequestStatus::kNodeUnavailable);
-    });
+  // effects on node state (and its reply, were it still to come).
+  for (const auto& [id, rec] : open_serves_) {
+    fail_next_tick(id, RequestStatus::kNodeUnavailable);
   }
   // Acked writes still parked on the buffer disk: without a journal the
   // RAM index was the only map of the parking lot — they are lost.
@@ -536,7 +505,7 @@ void StorageNode::crash() {
   }
   undestaged_acked_ = 0;
   for (auto& q : pending_writes_) q.clear();
-  flush_in_progress_.assign(data_disks_.size(), false);
+  batch_left_.assign(data_disks_.size(), 0);
   destages_in_flight_ = 0;
   destage_backlog_ = 0;
   live_lsns_.clear();
@@ -699,49 +668,85 @@ void StorageNode::rewarm_prefetch(
   }
 }
 
+std::uint64_t StorageNode::open_serve(obs::StringId op, trace::FileId f,
+                                      Bytes bytes, net::EndpointId client,
+                                      ServeCallback done) {
+  const std::uint64_t id = next_serve_id_++;
+  open_serves_.emplace(
+      id, ServeRecord{std::move(done), sim_.now(), op, f, bytes, client});
+  return id;
+}
+
+void StorageNode::settle(std::uint64_t id, Tick t, RequestStatus st) {
+  auto it = open_serves_.find(id);
+  if (it == open_serves_.end()) return;
+  ServeRecord rec = std::move(it->second);
+  open_serves_.erase(it);
+  if (tracer_ && tracer_->wants(obs::kCatNode)) {
+    tracer_->complete(rec.start, t - rec.start, obs::kCatNode,
+                      obs::TraceLevel::kInfo, rec.op, track_,
+                      tracer_->intern(to_string(st)),
+                      static_cast<std::int64_t>(rec.file),
+                      static_cast<std::int64_t>(rec.bytes));
+  }
+  if (rec.done) rec.done(t, st);
+}
+
+void StorageNode::fail_next_tick(std::uint64_t id, RequestStatus st) {
+  ++failed_serves_;
+  const std::uint64_t ep = epoch_;
+  (void)sim_.schedule_after(1, [this, id, ep, st] {
+    if (ep == epoch_) settle(id, sim_.now(), st);
+  });
+}
+
+void StorageNode::fail_serve(std::uint64_t id, Tick t) {
+  ++failed_serves_;
+  settle(id, t, RequestStatus::kDiskUnavailable);
+}
+
+void StorageNode::reply(std::uint64_t id, Bytes bytes) {
+  const std::uint64_t ep = epoch_;
+  net_.send(self_, open_serves_.at(id).client, bytes, [this, id, ep](Tick t) {
+    if (ep == epoch_) settle(id, t, RequestStatus::kOk);
+  });
+}
+
+void StorageNode::ship_read(std::uint64_t id, bool from_disk) {
+  const ServeRecord& rec = open_serves_.at(id);
+  bytes_served_ += rec.bytes;
+  // Fill the RAM tier on the way out: a read that came off a disk can be
+  // memory-speed next time.  Admission weighs the file's access count in
+  // the node's pattern slice.
+  if (from_disk && ram_) {
+    const auto it = pattern_.find(rec.file);
+    const auto weight = static_cast<std::uint64_t>(
+        it == pattern_.end() ? 0 : it->second.size());
+    ram_evictions_ += static_cast<std::uint64_t>(
+        ram_->admit(rec.file, rec.bytes, weight).evicted.size());
+  }
+  reply(id, rec.bytes);
+}
+
 void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
                              ServeCallback on_result) {
-  if (!on_result) on_result = [](Tick, RequestStatus) {};
-  on_result = trace_serve(ev_read_, f,
-                          meta_.find(f) ? meta_.find(f)->size : 0,
-                          std::move(on_result));
-  if (!alive_) {
-    // Connection refused: fail fast on the next tick, no disk touched.
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, cb = std::move(on_result)] {
-      cb(sim_.now(), RequestStatus::kNodeUnavailable);
-    });
-    return;
-  }
   LocalFileMeta* found = meta_.find(f);
-  if (found == nullptr) {
+  if (alive_ && found == nullptr) {
     throw std::logic_error("StorageNode: read for unknown file " +
                            std::to_string(f));
   }
+  const Bytes bytes = found ? found->size : 0;
+  const std::uint64_t id =
+      open_serve(ev_read_, f, bytes, client, std::move(on_result));
+  if (!alive_) {
+    // Connection refused: fail fast on the next tick, no disk touched.
+    fail_next_tick(id, RequestStatus::kNodeUnavailable);
+    return;
+  }
   LocalFileMeta& meta = *found;
-  const Bytes bytes = meta.size;
-
-  // Register the serve so a crash can settle it; capture the epoch so a
-  // disk completion that outlives the process mutates nothing.
-  on_result = guard_serve(std::move(on_result));
+  // Continuations capture the epoch so a completion that outlives the
+  // process (a crash settles its serve) mutates nothing.
   const std::uint64_t ep = epoch_;
-  auto shared_result =
-      std::make_shared<ServeCallback>(std::move(on_result));
-  auto ship = [this, f, ep, client, bytes, shared_result](Tick) {
-    if (ep != epoch_) return;
-    bytes_served_ += bytes;
-    // Fill the RAM tier on the way out: every successful read below this
-    // point came off a disk, so the next access can be memory-speed.
-    if (ram_) ram_admit(f, bytes);
-    net_.send(self_, client, bytes, [shared_result](Tick t) {
-      (*shared_result)(t, RequestStatus::kOk);
-    });
-  };
-  auto fail = [this, ep, shared_result](Tick t) {
-    if (ep != epoch_) return;
-    ++failed_serves_;
-    (*shared_result)(t, RequestStatus::kDiskUnavailable);
-  };
 
   // RAM tier first: a hit touches no spindle at all — the power manager
   // never hears about the access, which is exactly how the RAM tier
@@ -751,23 +756,24 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
       ++ram_hits_;
       if (hist_ram_hit_bytes_) hist_ram_hit_bytes_->record(bytes);
       const Tick service = transfer_ticks(bytes, params_.ram_bytes_per_sec);
-      (void)sim_.schedule_after(
-          service, [this, ep, client, bytes, shared_result] {
-            if (ep != epoch_) return;
-            bytes_served_ += bytes;
-            net_.send(self_, client, bytes, [shared_result](Tick t) {
-              (*shared_result)(t, RequestStatus::kOk);
-            });
-          });
+      (void)sim_.schedule_after(service, [this, id, ep] {
+        if (ep == epoch_) ship_read(id, /*from_disk=*/false);
+      });
       return;
     }
     ++ram_misses_;
     if (hist_ram_miss_bytes_) hist_ram_miss_bytes_->record(bytes);
   }
 
+  // Buffer tier next.
   const bool buffered_copy = buffer_ && meta.buffered && buffer_->contains(f);
   const bool buffer_alive =
       buffered_copy && !buffer_disks_[meta.buffer_disk]->failed();
+  auto finish = [this, id, ep](Tick t, disk::IoStatus st) {
+    if (ep != epoch_) return;
+    if (st == disk::IoStatus::kOk) ship_read(id, /*from_disk=*/true);
+    else fail_serve(id, t);
+  };
 
   if (buffered_copy && buffer_alive) {
     ++buffer_hits_;
@@ -777,29 +783,29 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
       fault_energy_delta_ -= degraded_read_energy_estimate(bytes);
     }
     buffer_->touch(f);
-    read_via_buffer(f, bytes, [this, f, ep, ship, fail](Tick t,
-                                                        disk::IoStatus st) {
-      if (ep != epoch_) return;
-      if (st == disk::IoStatus::kOk) {
-        ship(t);
-        return;
-      }
-      // The buffer disk died (or ran out of retries) mid-serve: degrade
-      // to the data-disk stripe set when it is still whole.
-      LocalFileMeta& m = meta_.at(f);
-      ++buffer_fallback_reads_;
-      fault_energy_delta_ += degraded_read_energy_estimate(m.size);
-      if (!stripe_set_alive(m)) {
-        fail(t);
-        return;
-      }
-      ++data_disk_reads_;
-      stripe_io(m, m.size, /*is_write=*/false, /*notify_power_manager=*/true,
-                [ship, fail](Tick t2, disk::IoStatus st2) {
-                  if (st2 == disk::IoStatus::kOk) ship(t2);
-                  else fail(t2);
-                });
-    });
+    submit_with_retry(
+        buffer_disks_[meta.buffer_disk].get(), bytes, /*sequential=*/true,
+        /*is_write=*/false, sim_.now(), 0,
+        [this, f, id, ep, finish](Tick t, disk::IoStatus st) {
+          if (ep != epoch_) return;
+          if (st == disk::IoStatus::kOk) {
+            ship_read(id, /*from_disk=*/true);
+            return;
+          }
+          // The buffer disk died (or ran out of retries) mid-serve:
+          // degrade to the data-disk stripe set when it is still whole.
+          LocalFileMeta& m = meta_.at(f);
+          ++buffer_fallback_reads_;
+          fault_energy_delta_ += degraded_read_energy_estimate(m.size);
+          if (!stripe_set_alive(m)) {
+            fail_serve(id, t);
+            return;
+          }
+          ++data_disk_reads_;
+          stripe_io(m, m.size, /*is_write=*/false,
+                    /*notify_power_manager=*/true, finish);
+        },
+        kNotPowerManaged);
     return;
   }
 
@@ -811,104 +817,63 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
     fault_energy_delta_ += degraded_read_energy_estimate(bytes);
   }
 
+  // Data tier last.
   if (!stripe_set_alive(meta)) {
     // No live copy anywhere on this node: fail upward so the server can
     // re-route to a replica node.
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, shared_result] {
-      (*shared_result)(sim_.now(), RequestStatus::kDiskUnavailable);
-    });
+    fail_next_tick(id, RequestStatus::kDiskUnavailable);
     return;
   }
-
   ++data_disk_reads_;
-  const std::vector<std::size_t> disks = meta.disks;
-  const bool maid_copy =
-      buffer_ && params_.cache_policy == CachePolicy::kLruOnMiss;
   stripe_io(meta, bytes, /*is_write=*/false, /*notify_power_manager=*/true,
-            [this, disks, f, ep, maid_copy, ship = std::move(ship),
-             fail = std::move(fail)](Tick t, disk::IoStatus st) {
-    if (ep != epoch_) return;
-    if (st != disk::IoStatus::kOk) {
-      fail(t);
-      return;
-    }
-    ship(t);
-    for (const std::size_t d : disks) {
-      maybe_flush(d);  // the platters are spinning: destage queued writes
-    }
-    if (maid_copy) {
-      // MAID: cache on access.  The insert may evict colder files.
-      const auto res = buffer_->insert(f, meta_.at(f).size,
-                                       /*allow_evict=*/true);
-      for (const trace::FileId victim : res.evicted) {
-        LocalFileMeta* vmeta = meta_.find(victim);
-        if (vmeta != nullptr) vmeta->buffered = false;
-        ++evictions_;
-      }
-      const auto bd =
-          healthy_buffer_disk(buffered_count_ % buffer_disks_.size());
-      if (res.inserted && !meta_.at(f).buffered && bd) {
-        ++buffered_count_;
-        disk::DiskRequest copy;
-        copy.bytes = meta_.at(f).size;
-        copy.sequential = true;
-        copy.is_write = true;
-        copy.on_complete = [this, f, ep, bd = *bd](Tick, disk::IoStatus cst) {
-          if (ep != epoch_) return;
-          if (cst != disk::IoStatus::kOk) {
-            buffer_->erase(f);
-            return;
-          }
-          LocalFileMeta& m = meta_.at(f);
-          m.buffered = true;
-          m.buffer_disk = bd;
-        };
-        buffer_disks_[*bd]->submit(std::move(copy));
-      } else if (res.inserted && !meta_.at(f).buffered) {
-        buffer_->erase(f);  // no live buffer disk to hold the copy
-      }
-    }
-  });
+            [this, f, id, ep](Tick t, disk::IoStatus st) {
+              if (ep != epoch_) return;
+              if (st != disk::IoStatus::kOk) {
+                fail_serve(id, t);
+                return;
+              }
+              ship_read(id, /*from_disk=*/true);
+              for (const std::size_t d : meta_.at(f).disks) {
+                maybe_flush(d);  // the platters are spinning: destage
+              }
+              if (buffer_ && params_.cache_policy == CachePolicy::kLruOnMiss) {
+                cache_on_miss(f);
+              }
+            });
+}
+
+void StorageNode::cache_on_miss(trace::FileId f) {
+  // MAID: cache on access.  The insert may evict colder files.
+  const auto res = buffer_->insert(f, meta_.at(f).size, /*allow_evict=*/true);
+  for (const trace::FileId victim : res.evicted) {
+    LocalFileMeta* vmeta = meta_.find(victim);
+    if (vmeta != nullptr) vmeta->buffered = false;
+    ++evictions_;
+  }
+  if (res.inserted && !meta_.at(f).buffered) {
+    write_buffer_copy(f, [](bool) {});
+  }
 }
 
 void StorageNode::serve_write(trace::FileId f, Bytes bytes,
                               net::EndpointId client,
                               ServeCallback on_result) {
-  if (!on_result) on_result = [](Tick, RequestStatus) {};
-  on_result = trace_serve(ev_write_, f, bytes, std::move(on_result));
-  if (!alive_) {
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, cb = std::move(on_result)] {
-      cb(sim_.now(), RequestStatus::kNodeUnavailable);
-    });
-    return;
-  }
-  LocalFileMeta* wmeta = meta_.find(f);
-  if (wmeta == nullptr) {
+  const LocalFileMeta* wmeta = meta_.find(f);
+  if (alive_ && wmeta == nullptr) {
     throw std::logic_error("StorageNode: write for unknown file " +
                            std::to_string(f));
   }
+  const std::uint64_t id =
+      open_serve(ev_write_, f, bytes, client, std::move(on_result));
+  if (!alive_) {
+    fail_next_tick(id, RequestStatus::kNodeUnavailable);
+    return;
+  }
   const std::size_t d = wmeta->disks.front();  // primary stripe disk
-  on_result = guard_serve(std::move(on_result));
-  const std::uint64_t ep = epoch_;
-  auto shared_result =
-      std::make_shared<ServeCallback>(std::move(on_result));
-  auto ack = [this, ep, client, shared_result](Tick) {
-    if (ep != epoch_) return;
-    net_.send(self_, client, net::kControlMessageBytes, [shared_result](Tick t) {
-      (*shared_result)(t, RequestStatus::kOk);
-    });
-  };
-  auto fail = [this, ep, shared_result](Tick t) {
-    if (ep != epoch_) return;
-    ++failed_serves_;
-    (*shared_result)(t, RequestStatus::kDiskUnavailable);
-  };
 
   // RAM write-back tier: absorb the burst in memory and ack at RAM
-  // speed; the staged bytes flow toward the buffer-disk path on the
-  // flush interval or under space pressure.  A staged write that has not
+  // speed; the staged bytes flow down the landing chain on the flush
+  // interval or under space pressure.  A staged write that has not
   // flushed dies with the process in a crash — the journal only covers
   // bytes that reached the buffer-disk log, so this trades a durability
   // window for burst absorption (the crash tests pin the accounting).
@@ -917,116 +882,106 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
     ram_staged_.push_back(RamStagedWrite{f, bytes, d});
     schedule_ram_flush();
     const Tick service = transfer_ticks(bytes, params_.ram_bytes_per_sec);
-    (void)sim_.schedule_after(service,
-                              [this, ack] { ack(sim_.now()); });
+    const std::uint64_t ep = epoch_;
+    (void)sim_.schedule_after(service, [this, id, ep] {
+      if (ep == epoch_) reply(id, net::kControlMessageBytes);
+    });
     if (ram_->pending_write_bytes() * 2 > ram_->capacity()) {
       flush_ram_writes();  // pressure flush: staged bytes passed half RAM
     }
     return;
   }
 
+  const bool landing =
+      land_write(f, bytes, d, [this, id](Tick t, bool landed) {
+        if (landed) reply(id, net::kControlMessageBytes);
+        else fail_serve(id, t);
+      });
+  if (!landing) fail_next_tick(id, RequestStatus::kDiskUnavailable);
+}
+
+bool StorageNode::land_write(trace::FileId f, Bytes bytes, std::size_t d,
+                             LandCallback done) {
   const auto bd =
       buffer_ ? healthy_buffer_disk(d % buffer_disks_.size()) : std::nullopt;
-  if (params_.write_buffering && bd && buffer_->reserve_write(bytes)) {
-    submit_with_retry(
-        buffer_disks_[*bd].get(), bytes, /*sequential=*/true,
-        /*is_write=*/true, sim_.now(), 0,
-        [this, f, bytes, d, ep, bd = *bd, ack, fail](Tick t,
-                                                     disk::IoStatus st) {
-          if (ep != epoch_) return;
-          if (st == disk::IoStatus::kOk) {
-            if (journal_ && journal_->enabled()) {
-              // Append-before-ack: the client hears nothing until the
-              // commit header is durable on the buffer-disk log.
-              journal_->append(
-                  f, bytes, bd, d,
-                  [this, f, bytes, d, ep, bd, ack, fail](
-                      Tick t2, disk::IoStatus jst, std::uint64_t lsn) {
-                    if (ep != epoch_) return;
-                    if (jst == disk::IoStatus::kOk) {
-                      finish_buffered_write(f, bytes, d, bd, lsn, t2, ack);
-                      return;
-                    }
-                    // Commit header failed: the payload is on the log but
-                    // not provably recoverable — don't ack a write the
-                    // journal can't replay; go direct instead.
-                    buffer_->release_write(bytes);
-                    direct_write_fallback(f, bytes, ack, fail);
-                  });
-              return;
-            }
-            // journal=off ablation: legacy lossy behaviour, ack as soon
-            // as the payload lands.
-            finish_buffered_write(f, bytes, d, bd, /*lsn=*/0, t, ack);
-            return;
-          }
+  if (!params_.write_buffering || !bd || !buffer_->reserve_write(bytes)) {
+    if (!stripe_set_alive(meta_.at(f))) return false;
+    write_direct(f, bytes, std::move(done));
+    return true;
+  }
+  const std::uint64_t ep = epoch_;
+  submit_with_retry(
+      buffer_disks_[*bd].get(), bytes, /*sequential=*/true,
+      /*is_write=*/true, sim_.now(), 0,
+      [this, f, bytes, d, ep, bd = *bd, done = std::move(done)](
+          Tick t, disk::IoStatus st) mutable {
+        if (ep != epoch_) return;
+        if (st != disk::IoStatus::kOk) {
           // The buffer-log append failed: release the reservation and
           // fall back to a direct stripe write.
           buffer_->release_write(bytes);
-          direct_write_fallback(f, bytes, ack, fail);
-        },
-        kNotPowerManaged);
+          write_direct(f, bytes, std::move(done));
+          return;
+        }
+        if (!journal_ || !journal_->enabled()) {
+          // journal=off ablation: legacy lossy behaviour, book as soon
+          // as the payload lands.
+          book_destage(d, PendingWrite{f, bytes, bd, 0}, t, done);
+          return;
+        }
+        // Append-before-ack: nothing is reported landed until the commit
+        // header is durable on the buffer-disk log.
+        journal_->append(
+            f, bytes, bd, d,
+            [this, f, bytes, d, ep, bd, done = std::move(done)](
+                Tick t2, disk::IoStatus jst, std::uint64_t lsn) mutable {
+              if (ep != epoch_) return;
+              if (jst == disk::IoStatus::kOk) {
+                book_destage(d, PendingWrite{f, bytes, bd, lsn}, t2, done);
+                return;
+              }
+              // Commit header failed: the payload is on the log but not
+              // provably recoverable — go direct instead.
+              buffer_->release_write(bytes);
+              write_direct(f, bytes, std::move(done));
+            });
+      },
+      kNotPowerManaged);
+  return true;
+}
+
+void StorageNode::write_direct(trace::FileId f, Bytes bytes,
+                               LandCallback done) {
+  const LocalFileMeta& m = meta_.at(f);
+  if (!stripe_set_alive(m)) {
+    done(sim_.now(), false);
     return;
   }
-
-  if (!stripe_set_alive(*wmeta)) {
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, shared_result] {
-      (*shared_result)(sim_.now(), RequestStatus::kDiskUnavailable);
-    });
-    return;
-  }
-
   ++writes_direct_;
-  stripe_io(*wmeta, bytes, /*is_write=*/true,
-            /*notify_power_manager=*/true,
-            [ack, fail](Tick t, disk::IoStatus st) {
-              if (st == disk::IoStatus::kOk) ack(t);
-              else fail(t);
+  const std::uint64_t ep = epoch_;
+  stripe_io(m, bytes, /*is_write=*/true, /*notify_power_manager=*/true,
+            [this, ep, done = std::move(done)](Tick t, disk::IoStatus st) {
+              if (ep == epoch_) done(t, st == disk::IoStatus::kOk);
             });
 }
 
-StorageNode::ServeCallback StorageNode::guard_serve(ServeCallback cb) {
-  const std::uint64_t id = next_serve_id_++;
-  open_serves_.emplace(id, std::move(cb));
-  return [this, id](Tick t, RequestStatus st) {
-    auto it = open_serves_.find(id);
-    if (it == open_serves_.end()) return;  // settled by a crash already
-    ServeCallback inner = std::move(it->second);
-    open_serves_.erase(it);
-    inner(t, st);
-  };
-}
-
-void StorageNode::finish_buffered_write(trace::FileId f, Bytes bytes,
-                                        std::size_t d, std::size_t bd,
-                                        std::uint64_t lsn, Tick t,
-                                        const std::function<void(Tick)>& ack) {
+void StorageNode::book_destage(std::size_t d, const PendingWrite& w, Tick t,
+                               const LandCallback& done) {
   ++writes_buffered_;
   ++undestaged_acked_;
-  backlog_add(bytes);
-  if (lsn != 0) live_lsns_.insert(lsn);
-  pending_writes_[d].push_back(PendingWrite{f, bytes, bd, lsn});
-  ack(t);
-  // If the target data disk happens to be spinning and unloaded, the
-  // destage can start right away.
-  if (disk::is_spun_up(data_disks_[d]->state())) maybe_flush(d);
-}
-
-void StorageNode::direct_write_fallback(trace::FileId f, Bytes bytes,
-                                        const std::function<void(Tick)>& ack,
-                                        const std::function<void(Tick)>& fail) {
-  LocalFileMeta& m = meta_.at(f);
-  if (!stripe_set_alive(m)) {
-    fail(sim_.now());
-    return;
+  backlog_add(w.bytes);
+  if (w.lsn != 0) live_lsns_.insert(w.lsn);
+  pending_writes_[d].push_back(w);
+  // The pending entry must be queued before `done` runs: a RAM
+  // write-back's settle could otherwise fire an end-of-run waiter early.
+  done(t, true);
+  if (!flush_waiters_.empty()) {
+    // End-of-run drain in progress: push the destage through now instead
+    // of waiting for the data disk's next natural wake.
+    destage_queued(d, /*batched=*/false);
+  } else {
+    maybe_flush(d);  // starts right away if the data disk is spinning
   }
-  ++writes_direct_;
-  stripe_io(m, bytes, /*is_write=*/true, /*notify_power_manager=*/true,
-            [ack, fail](Tick t2, disk::IoStatus st2) {
-              if (st2 == disk::IoStatus::kOk) ack(t2);
-              else fail(t2);
-            });
 }
 
 void StorageNode::schedule_ram_flush() {
@@ -1045,140 +1000,48 @@ void StorageNode::flush_ram_writes() {
   if (!alive_ || ram_staged_.empty()) return;
   auto staged = std::move(ram_staged_);
   ram_staged_.clear();
-  for (const RamStagedWrite& w : staged) flush_one_ram_write(w);
-}
-
-void StorageNode::flush_one_ram_write(const RamStagedWrite& w) {
-  ++ram_flushes_in_flight_;
-  const std::uint64_t ep = epoch_;
-  // Terminal bookkeeping: the staged bytes left RAM — landed downstream
-  // (buffer log or stripe) or were written off as stranded.
-  auto settle = [this, w, ep](bool landed) {
-    if (ep != epoch_) return;  // the crash already wrote the loss off
-    ram_->release_write(w.bytes);
-    if (landed) ++ram_writebacks_;
-    else ++writes_stranded_;
-    --ram_flushes_in_flight_;
-    notify_flush_waiters();
-  };
-  const auto bd = buffer_
-                      ? healthy_buffer_disk(w.data_disk % buffer_disks_.size())
-                      : std::nullopt;
-  if (params_.write_buffering && bd && buffer_->reserve_write(w.bytes)) {
-    submit_with_retry(
-        buffer_disks_[*bd].get(), w.bytes, /*sequential=*/true,
-        /*is_write=*/true, sim_.now(), 0,
-        [this, w, ep, bd = *bd, settle](Tick, disk::IoStatus st) {
-          if (ep != epoch_) return;
-          if (st == disk::IoStatus::kOk) {
-            if (journal_ && journal_->enabled()) {
-              journal_->append(
-                  w.file, w.bytes, bd, w.data_disk,
-                  [this, w, ep, bd, settle](Tick, disk::IoStatus jst,
-                                            std::uint64_t lsn) {
-                    if (ep != epoch_) return;
-                    if (jst == disk::IoStatus::kOk) {
-                      book_ram_writeback(w, bd, lsn, settle);
-                      return;
-                    }
-                    buffer_->release_write(w.bytes);
-                    direct_ram_writeback(w, settle);
-                  });
-              return;
-            }
-            book_ram_writeback(w, bd, /*lsn=*/0, settle);
-            return;
-          }
-          buffer_->release_write(w.bytes);
-          direct_ram_writeback(w, settle);
-        },
-        kNotPowerManaged);
-    return;
-  }
-  direct_ram_writeback(w, settle);
-}
-
-void StorageNode::book_ram_writeback(const RamStagedWrite& w, std::size_t bd,
-                                     std::uint64_t lsn,
-                                     const std::function<void(bool)>& settle) {
-  ++writes_buffered_;
-  ++undestaged_acked_;
-  backlog_add(w.bytes);
-  if (lsn != 0) live_lsns_.insert(lsn);
-  pending_writes_[w.data_disk].push_back(
-      PendingWrite{w.file, w.bytes, bd, lsn});
-  // The pending entry must be queued before settle decrements the
-  // in-flight count, or an end-of-run waiter could fire between the two.
-  settle(true);
-  if (!flush_waiters_.empty()) {
-    // End-of-run drain in progress: push the destage through now instead
-    // of waiting for the data disk's next natural wake.
-    auto batch = std::move(pending_writes_[w.data_disk]);
-    pending_writes_[w.data_disk].clear();
-    for (const PendingWrite& pw : batch) {
-      flush_one(w.data_disk, pw, [] {});
+  for (const RamStagedWrite& w : staged) {
+    ++ram_flushes_in_flight_;
+    // Terminal bookkeeping: the staged bytes left RAM — landed downstream
+    // (buffer log or stripe) or were written off as stranded.  A crash
+    // in between already wrote the loss off, and the chain stays silent.
+    auto settle_writeback = [this, bytes = w.bytes](Tick, bool landed) {
+      ram_->release_write(bytes);
+      if (landed) ++ram_writebacks_;
+      else ++writes_stranded_;
+      --ram_flushes_in_flight_;
+      notify_flush_waiters();
+    };
+    if (!land_write(w.file, w.bytes, w.data_disk, settle_writeback)) {
+      settle_writeback(sim_.now(), false);
     }
-  } else if (disk::is_spun_up(data_disks_[w.data_disk]->state())) {
-    maybe_flush(w.data_disk);
   }
-}
-
-void StorageNode::direct_ram_writeback(
-    const RamStagedWrite& w, const std::function<void(bool)>& settle) {
-  const LocalFileMeta* m = meta_.find(w.file);
-  if (m == nullptr || !stripe_set_alive(*m)) {
-    settle(false);
-    return;
-  }
-  const std::uint64_t ep = epoch_;
-  ++writes_direct_;
-  stripe_io(*m, w.bytes, /*is_write=*/true, /*notify_power_manager=*/true,
-            [ep, this, settle](Tick, disk::IoStatus st) {
-              if (ep != epoch_) return;
-              settle(st == disk::IoStatus::kOk);
-            });
 }
 
 void StorageNode::maybe_flush(std::size_t d) {
-  if (flush_in_progress_[d] || pending_writes_[d].empty()) return;
+  if (batch_left_[d] > 0 || pending_writes_[d].empty()) return;
   if (!disk::is_spun_up(data_disks_[d]->state())) return;
-  flush_in_progress_[d] = true;
-  auto batch = std::make_shared<std::vector<PendingWrite>>(
-      std::move(pending_writes_[d]));
-  pending_writes_[d].clear();
-  auto remaining = std::make_shared<std::size_t>(batch->size());
-  for (const PendingWrite& w : *batch) {
-    flush_one(d, w, [this, d, remaining] {
-      if (--*remaining == 0) {
-        flush_in_progress_[d] = false;
-        maybe_flush(d);  // new writes may have queued meanwhile
-      }
-    });
-  }
+  destage_queued(d, /*batched=*/true);
 }
 
-void StorageNode::flush_one(std::size_t d, PendingWrite w,
-                            std::function<void()> done) {
+void StorageNode::destage_queued(std::size_t d, bool batched) {
+  auto batch = std::move(pending_writes_[d]);
+  pending_writes_[d].clear();
+  if (batched) batch_left_[d] = batch.size();
+  for (const PendingWrite& w : batch) flush_one(d, w, batched);
+}
+
+void StorageNode::flush_one(std::size_t d, PendingWrite w, bool batched) {
   // Destage = sequential read from the buffer-disk log + random write to
   // the data disk.
   ++destages_in_flight_;
-  if (tracer_ && tracer_->wants(obs::kCatBuffer)) {
-    const Tick start = sim_.now();
-    done = [this, w, start, inner = std::move(done)] {
-      tracer_->complete(start, sim_.now() - start, obs::kCatBuffer,
-                        obs::TraceLevel::kInfo, ev_destage_, track_, 0,
-                        static_cast<std::int64_t>(w.file),
-                        static_cast<std::int64_t>(w.bytes));
-      inner();
-    };
-  }
+  const Tick start = sim_.now();
   const std::uint64_t ep = epoch_;
   disk::DiskRequest read;
   read.bytes = w.bytes;
   read.sequential = true;
-  (void)d;  // destination disks come from the file's stripe set
-  read.on_complete = [this, w, ep, done = std::move(done)](Tick,
-                                                           disk::IoStatus rst) {
+  read.on_complete = [this, d, w, start, batched, ep](Tick,
+                                                      disk::IoStatus rst) {
     // A crash reset the flush machinery; this destage belongs to the dead
     // process (the journal still holds its record for replay).
     if (ep != epoch_) return;
@@ -1186,15 +1049,7 @@ void StorageNode::flush_one(std::size_t d, PendingWrite w,
     if (rst != disk::IoStatus::kOk || !stripe_set_alive(m)) {
       // The staged copy is unreadable or its home disks are gone: drop
       // the destage (counted as data loss) so the drain cannot wedge.
-      // The journal record is retired too — replaying a write whose home
-      // disks are dead would strand it again forever.
-      ++writes_stranded_;
-      retire_destage(w);
-      backlog_sub(w.bytes);
-      buffer_->release_write(w.bytes);
-      --destages_in_flight_;
-      done();
-      notify_flush_waiters();
+      end_destage(d, w, start, batched, /*landed=*/false);
       return;
     }
     // Destages ride along with foreground traffic; they do not count as
@@ -1202,27 +1057,41 @@ void StorageNode::flush_one(std::size_t d, PendingWrite w,
     // awake for a read in the common path) but do keep it busy.
     stripe_io(m, w.bytes, /*is_write=*/true,
               /*notify_power_manager=*/false,
-              [this, w, ep, done](Tick, disk::IoStatus wst) {
+              [this, d, w, start, batched, ep](Tick, disk::IoStatus wst) {
                 if (ep != epoch_) return;
-                if (wst != disk::IoStatus::kOk) ++writes_stranded_;
-                else ++destages_;
-                retire_destage(w);
-                backlog_sub(w.bytes);
-                buffer_->release_write(w.bytes);
-                --destages_in_flight_;
-                done();
-                notify_flush_waiters();
+                end_destage(d, w, start, batched,
+                            wst == disk::IoStatus::kOk);
               });
   };
   buffer_disks_[w.buffer_disk]->submit(std::move(read));
 }
 
-void StorageNode::retire_destage(const PendingWrite& w) {
+void StorageNode::end_destage(std::size_t d, const PendingWrite& w,
+                              Tick start, bool batched, bool landed) {
+  retire_destage(w, landed);
+  --destages_in_flight_;
+  if (tracer_ && tracer_->wants(obs::kCatBuffer)) {
+    tracer_->complete(start, sim_.now() - start, obs::kCatBuffer,
+                      obs::TraceLevel::kInfo, ev_destage_, track_, 0,
+                      static_cast<std::int64_t>(w.file),
+                      static_cast<std::int64_t>(w.bytes));
+  }
+  // The last destage of a batch lets the disk take the next one (new
+  // writes may have queued meanwhile).
+  if (batched && --batch_left_[d] == 0) maybe_flush(d);
+  notify_flush_waiters();
+}
+
+void StorageNode::retire_destage(const PendingWrite& w, bool landed) {
+  if (landed) ++destages_;
+  else ++writes_stranded_;
   if (w.lsn != 0 && journal_) {
     journal_->mark_destaged(w.lsn);
     live_lsns_.erase(w.lsn);
   }
   if (undestaged_acked_ > 0) --undestaged_acked_;
+  backlog_sub(w.bytes);
+  buffer_->release_write(w.bytes);
 }
 
 void StorageNode::notify_flush_waiters() {
@@ -1243,18 +1112,14 @@ bool StorageNode::has_pending_writes() const {
 
 void StorageNode::flush_pending_writes(std::function<void()> done) {
   // RAM-staged write-backs first: dispatching them may add entries to
-  // the per-disk queues below (their completions force those through —
-  // see book_ram_writeback — once a waiter is registered).
+  // the per-disk queues below (their landings force those through — see
+  // book_destage — once a waiter is registered).
   flush_ram_writes();
   // Destage everything still queued, then wait for all in-flight
   // destages (including ones started by opportunistic maybe_flush calls)
   // to land.
   for (std::size_t d = 0; d < data_disks_.size(); ++d) {
-    auto batch = std::move(pending_writes_[d]);
-    pending_writes_[d].clear();
-    for (const PendingWrite& w : batch) {
-      flush_one(d, w, [] {});
-    }
+    destage_queued(d, /*batched=*/false);
   }
   if (!has_pending_writes()) {
     (void)sim_.schedule_after(0, std::move(done));

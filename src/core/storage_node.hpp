@@ -279,6 +279,11 @@ class StorageNode {
   std::uint64_t ram_lost_writes() const { return ram_lost_writes_; }
 
  private:
+  using IoCallback = std::function<void(Tick, disk::IoStatus)>;
+  /// Completion of one write landing: `landed` is false when neither the
+  /// buffer log nor the stripe took the bytes.
+  using LandCallback = std::function<void(Tick, bool landed)>;
+
   struct PendingWrite {
     trace::FileId file = 0;
     Bytes bytes = 0;
@@ -287,17 +292,44 @@ class StorageNode {
     std::uint64_t lsn = 0;
   };
 
-  /// Submits a request to a data disk, with power-manager notification
-  /// and on-demand-wake accounting.
-  void submit_to_data_disk(std::size_t disk, disk::DiskRequest request);
+  /// One open serve: its completion plus what its node.read/node.write
+  /// span and its reply need.  Continuations hold only the serve id.
+  struct ServeRecord {
+    ServeCallback done;
+    Tick start = 0;
+    obs::StringId op = 0;
+    trace::FileId file = 0;
+    Bytes bytes = 0;
+    net::EndpointId client = 0;
+  };
+
+  /// Registers a serve so crash() can settle it; returns its id.
+  std::uint64_t open_serve(obs::StringId op, trace::FileId f, Bytes bytes,
+                           net::EndpointId client, ServeCallback done);
+  /// Settles serve `id`: emits its span and fires its completion.  No-op
+  /// for an id that is no longer open.
+  void settle(std::uint64_t id, Tick t, RequestStatus st);
+  /// Counts a failed serve and settles it with `st` on the next tick,
+  /// unless a crash intervenes (the crash then settles it itself).
+  void fail_next_tick(std::uint64_t id, RequestStatus st);
+  /// Counts a failed serve and settles it kDiskUnavailable at `t`.
+  void fail_serve(std::uint64_t id, Tick t);
+  /// Sends `bytes` (payload or ack) to the serve's client; the serve
+  /// settles kOk on delivery.
+  void reply(std::uint64_t id, Bytes bytes);
+  /// Ships a read's payload; `from_disk` reads also fill the RAM tier.
+  void ship_read(std::uint64_t id, bool from_disk);
+  /// MAID copy-on-access after a data-disk read of `f`.
+  void cache_on_miss(trace::FileId f);
 
   /// Submits one I/O to `target` and retries media errors with
   /// exponential backoff until the attempt budget or the per-I/O deadline
-  /// runs out.  `done` receives the final status.
+  /// runs out.  `done` receives the final status.  A data-disk target
+  /// names its index in `power_managed_disk`, so the power manager hears
+  /// of the arrival and a wake it causes counts as on-demand.
   void submit_with_retry(disk::DiskModel* target, Bytes bytes,
                          bool sequential, bool is_write, Tick issued,
-                         std::size_t attempt,
-                         std::function<void(Tick, disk::IoStatus)> done,
+                         std::size_t attempt, IoCallback done,
                          std::size_t power_managed_disk);
   static constexpr std::size_t kNotPowerManaged =
       static_cast<std::size_t>(-1);
@@ -306,13 +338,16 @@ class StorageNode {
   /// access); `done` fires when the last stripe completes, with the worst
   /// stripe status.
   void stripe_io(const LocalFileMeta& file, Bytes bytes, bool is_write,
-                 bool notify_power_manager,
-                 std::function<void(Tick, disk::IoStatus)> done);
+                 bool notify_power_manager, IoCallback done);
 
   /// Copies one file into the buffer disk area (used by prefetch and the
   /// MAID-style copy-on-access policy).  Faults abort the copy (the file
   /// just stays unbuffered); `done` always fires.
   void copy_into_buffer(trace::FileId f, std::function<void()> done);
+  /// Writes `f`'s buffer-disk copy (space already reserved) and marks it
+  /// buffered once it lands; a failed copy gives the space back.  `done`
+  /// reports whether it landed, and fires even across a crash.
+  void write_buffer_copy(trace::FileId f, std::function<void(bool)> done);
 
   /// First buffer disk that is still spinning, or nullopt.
   std::optional<std::size_t> healthy_buffer_disk(std::size_t preferred) const;
@@ -321,38 +356,44 @@ class StorageNode {
   /// Reacts to a data disk entering kFailed: strands its queued destages.
   void on_data_disk_failed(std::size_t d);
 
-  /// Serves `f` from its buffered copy (degraded path helper).
-  void read_via_buffer(trace::FileId f, Bytes bytes,
-                       std::function<void(Tick, disk::IoStatus)> done);
-
   /// Modeled energy cost difference of serving `bytes` from the data-disk
   /// stripe set instead of the buffer log (positive = data path costs
   /// more) — the meterable price of one degraded read.
   Joules degraded_read_energy_estimate(Bytes bytes) const;
 
+  // --- write landing: buffer log (+ journal) -> data-disk stripe -------
+  /// Lands one write below the RAM tier, for client writes and RAM
+  /// write-backs alike: reserve buffer-log space, append, journal commit,
+  /// book the destage; a failed append or commit falls back to the
+  /// stripe.  Returns false, without calling `done`, when neither path
+  /// is usable.  `done` never fires after a crash.
+  bool land_write(trace::FileId f, Bytes bytes, std::size_t d,
+                  LandCallback done);
+  /// The direct stripe write; `done(now, false)` when the stripe is dead.
+  void write_direct(trace::FileId f, Bytes bytes, LandCallback done);
+  /// Books one write that reached the buffer log: queue the destage,
+  /// report it landed, then start (or, during the end-of-run drain,
+  /// force) the destage.
+  void book_destage(std::size_t d, const PendingWrite& w, Tick t,
+                    const LandCallback& done);
+
   /// Destages queued writes for data disk `d` while it is spinning.
   void maybe_flush(std::size_t d);
-  void flush_one(std::size_t d, PendingWrite w, std::function<void()> done);
+  /// Hands every write queued for `d` to flush_one; a `batched` drain is
+  /// counted so maybe_flush re-checks the queue when it lands.
+  void destage_queued(std::size_t d, bool batched);
+  void flush_one(std::size_t d, PendingWrite w, bool batched);
+  /// Terminal bookkeeping of one destage (landed or stranded).
+  void end_destage(std::size_t d, const PendingWrite& w, Tick start,
+                   bool batched, bool landed);
   /// Fires flush waiters once nothing is queued or in flight.
   void notify_flush_waiters();
-
-  /// Registers a serve so crash() can settle it with kNodeUnavailable;
-  /// the returned wrapper no-ops if the serve was already settled.
-  ServeCallback guard_serve(ServeCallback cb);
-  /// Books one acked buffered write: queue the destage, ack the client,
-  /// opportunistically flush.  `lsn` 0 = unjournaled.
-  void finish_buffered_write(trace::FileId f, Bytes bytes, std::size_t d,
-                             std::size_t bd, std::uint64_t lsn, Tick t,
-                             const std::function<void(Tick)>& ack);
-  /// Direct stripe-write fallback when the buffered path cannot be used.
-  void direct_write_fallback(trace::FileId f, Bytes bytes,
-                             const std::function<void(Tick)>& ack,
-                             const std::function<void(Tick)>& fail);
-  /// Retires one pending write's durability bookkeeping after its destage
-  /// resolved (landed or stranded): journal truncation mark + at-risk
-  /// counter.  Stranded writes retire too — replaying a write whose home
-  /// disks are dead would strand it again forever.
-  void retire_destage(const PendingWrite& w);
+  /// Retires one pending write after its destage resolved (landed or
+  /// stranded): outcome counter, journal truncation mark, at-risk
+  /// counter, backlog and buffer-log space.  Stranded writes retire too —
+  /// replaying a write whose home disks are dead would strand it again
+  /// forever.
+  void retire_destage(const PendingWrite& w, bool landed);
 
   // --- RAM cache tier ---------------------------------------------------
   struct RamStagedWrite {
@@ -360,26 +401,12 @@ class StorageNode {
     Bytes bytes = 0;
     std::size_t data_disk = 0;
   };
-  /// Popularity weight for RAM admission: the file's access count in the
-  /// node's pattern slice.
-  std::uint64_t ram_weight(trace::FileId f) const;
-  /// Offers a freshly read file to the RAM tier (no-op when disabled).
-  void ram_admit(trace::FileId f, Bytes bytes);
   /// Reads `f`'s stripe set into RAM and pins it (prefetch hot set).
   void pin_into_ram(trace::FileId f, std::function<void()> done);
   /// Arms the interval flush timer if not already armed.
   void schedule_ram_flush();
-  /// Dispatches every staged write-back toward the buffer-disk path.
+  /// Sends every staged write-back down the landing chain.
   void flush_ram_writes();
-  void flush_one_ram_write(const RamStagedWrite& w);
-  /// Books one RAM write-back that reached the buffer log: destage queue
-  /// + journal accounting, like finish_buffered_write without the ack.
-  void book_ram_writeback(const RamStagedWrite& w, std::size_t bd,
-                          std::uint64_t lsn,
-                          const std::function<void(bool)>& settle);
-  /// Stripe-write fallback when the buffer path cannot take a write-back.
-  void direct_ram_writeback(const RamStagedWrite& w,
-                            const std::function<void(bool)>& settle);
 
   sim::Simulator& sim_;
   net::NetworkFabric& net_;
@@ -403,22 +430,31 @@ class StorageNode {
   Tick horizon_ = 0;
   PrefetchPlan plan_;
   bool plan_ready_ = false;
-  Tick replay_start_ = 0;
   bool alive_ = true;
   /// Bumped at every crash; disk/net completions capture the epoch they
   /// were issued under and drop their state effects when it is stale.
   std::uint64_t epoch_ = 0;
   /// Serves awaiting completion, so crash() can settle them typed.
-  std::map<std::uint64_t, ServeCallback> open_serves_;
+  std::map<std::uint64_t, ServeRecord> open_serves_;
   std::uint64_t next_serve_id_ = 1;
   /// Journal LSNs currently queued or in flight toward data disks —
   /// the idempotence filter for replay_journal.
   std::set<std::uint64_t> live_lsns_;
 
   std::vector<std::vector<PendingWrite>> pending_writes_;  // per data disk
-  std::vector<bool> flush_in_progress_;
+  /// Destages of maybe_flush's batch still in flight, per data disk; a
+  /// disk starts its next batch only when this is back to 0.
+  std::vector<std::size_t> batch_left_;
   std::size_t destages_in_flight_ = 0;
   std::vector<std::function<void()>> flush_waiters_;
+  /// Fan-in of each stripe I/O in flight across more than one disk.
+  struct StripeJoin {
+    std::size_t outstanding = 0;
+    disk::IoStatus worst = disk::IoStatus::kOk;
+    IoCallback done;
+  };
+  std::map<std::uint64_t, StripeJoin> joins_;
+  std::uint64_t next_join_id_ = 1;
 
   // RAM cache tier (null/empty when params_.ram_cache_bytes == 0)
   std::unique_ptr<RamCache> ram_;
@@ -467,11 +503,6 @@ class StorageNode {
   void backlog_sub(Bytes b) {
     destage_backlog_ -= b < destage_backlog_ ? b : destage_backlog_;
   }
-  /// Wraps `cb` so a node.<op> complete event spanning the serve is
-  /// emitted when it fires; returns `cb` unchanged when not tracing.
-  ServeCallback trace_serve(obs::StringId op, trace::FileId f, Bytes bytes,
-                            ServeCallback cb);
-
   obs::Tracer* tracer_ = nullptr;
   obs::StringId track_ = 0;
   obs::StringId ev_read_ = 0;

@@ -50,13 +50,14 @@ std::uint32_t parse_category_mask(std::string_view spec) {
 
 StringId Tracer::intern(std::string_view s) {
   if (s.empty()) return 0;
-  // Linear scan: the string universe is tiny (event names + one track
-  // per component instance) and interning happens mostly at setup.
-  for (std::size_t i = 0; i < strings_.size(); ++i) {
-    if (strings_[i] == s) return static_cast<StringId>(i);
-  }
+  // Per-event sites (status strings, client tracks) intern on the hot
+  // path, so look up through the ordered index rather than scanning.
+  const auto it = ids_.find(s);
+  if (it != ids_.end()) return it->second;
+  const auto id = static_cast<StringId>(strings_.size());
   strings_.emplace_back(s);
-  return static_cast<StringId>(strings_.size() - 1);
+  ids_.emplace(std::string(s), id);
+  return id;
 }
 
 void Tracer::push(TraceEvent ev) {
@@ -279,6 +280,10 @@ bool Tracer::read_binary(std::istream& in) {
     ring.push_back(ev);
   }
   strings_ = std::move(strings);
+  ids_.clear();
+  for (std::size_t i = 1; i < strings_.size(); ++i) {
+    ids_.emplace(strings_[i], static_cast<StringId>(i));
+  }
   ring_ = std::move(ring);
   recorded_ = ring_.size();
   dropped_ = 0;

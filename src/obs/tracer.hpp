@@ -17,7 +17,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,6 +135,9 @@ class Tracer {
   TracerConfig cfg_;
   std::deque<TraceEvent> ring_;
   std::vector<std::string> strings_{std::string{}};  // id 0 = ""
+  /// String -> id over strings_ (ids in first-intern order).  The keys
+  /// are owned copies: views into strings_ would dangle as it grows.
+  std::map<std::string, StringId, std::less<>> ids_;
   std::size_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
 };

@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baseline/presets.hpp"
 #include "core/cluster.hpp"
@@ -160,6 +161,20 @@ TEST(Tracer, InternIsStableAndZeroIsEmpty) {
   EXPECT_NE(a, 0u);
   EXPECT_EQ(t.lookup(a), "node0/data0");
   EXPECT_EQ(t.intern(""), 0u);
+  // Thousands of strings (one track per client at datacenter scale):
+  // ids stay dense in first-intern order and every re-intern finds its
+  // own id, including after the string table has grown many times.
+  std::vector<StringId> ids;
+  for (int i = 0; i < 3000; ++i) {
+    ids.push_back(t.intern("client" + std::to_string(i)));
+    EXPECT_EQ(ids.back(), a + 1 + static_cast<StringId>(i));
+  }
+  for (int i = 0; i < 3000; ++i) {
+    const std::string s = "client" + std::to_string(i);
+    EXPECT_EQ(t.intern(s), ids[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(t.lookup(ids[static_cast<std::size_t>(i)]), s);
+  }
+  EXPECT_EQ(t.intern("node0/data0"), a);
 }
 
 TEST(Tracer, JsonlGoldenOutput) {
@@ -227,6 +242,8 @@ TEST(Tracer, BinaryRoundTrips) {
   EXPECT_EQ(e1.dur, 3);
   EXPECT_EQ(e1.level, TraceLevel::kDebug);
   EXPECT_EQ(back.lookup(e1.name), "net.send");
+  // The loaded string table is interned: known strings keep their ids.
+  EXPECT_EQ(back.intern("node2"), e0.track);
 
   std::istringstream garbage("not a trace");
   Tracer reject;

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/tracer.hpp"
 
 namespace eevfs::core {
 namespace {
@@ -274,6 +279,81 @@ TEST_F(StorageNodeTest, MetricsAddUp) {
   // Meter covers the whole timeline on every disk.
   EXPECT_EQ(m.data_disk_meter.total_ticks(), 2 * sim.now());
   EXPECT_EQ(m.buffer_disk_meter.total_ticks(), sim.now());
+}
+
+TEST_F(StorageNodeTest, EveryServeEmitsOneSpanWithItsCallbackStatus) {
+  // The node.read / node.write spans feed the serve-time percentiles, so
+  // each serve must emit exactly one, carrying the status its callback
+  // saw — on every tier, on failure, and when a crash settles it.
+  obs::TracerConfig cfg;
+  cfg.enabled = true;
+  obs::Tracer tracer(cfg);
+  std::vector<std::pair<std::string, RequestStatus>> calls;
+  auto read = [&](StorageNode& n, trace::FileId f) {
+    n.serve_read(f, client_ep, [&calls](Tick, RequestStatus st) {
+      calls.emplace_back("node.read", st);
+    });
+  };
+  auto write = [&](StorageNode& n, trace::FileId f) {
+    n.serve_write(f, 10 * kMB, client_ep, [&calls](Tick, RequestStatus st) {
+      calls.emplace_back("node.write", st);
+    });
+  };
+
+  auto node = make_node(params());
+  node->set_observer(&tracer, nullptr);
+  setup_files(*node, 4, 10 * kMB, seconds_to_ticks(600));
+  node->start_prefetch({0}, [] {});
+  sim.run();
+  read(*node, 0);   // buffer hit
+  read(*node, 1);   // data-disk read
+  write(*node, 2);  // buffered write
+  sim.run();
+  EXPECT_EQ(node->collect_metrics().buffer_hits, 1u);
+  EXPECT_EQ(node->collect_metrics().data_disk_reads, 1u);
+  EXPECT_EQ(node->collect_metrics().writes_buffered, 1u);
+  read(*node, 1);  // in flight when the node crashes
+  node->crash();
+  sim.run();
+  read(*node, 1);   // crashed node: fail fast
+  write(*node, 2);
+  sim.run();
+
+  auto p = params();
+  p.ram_cache_bytes = 64 * kMB;
+  auto ram_node = make_node(p);
+  ram_node->set_observer(&tracer, nullptr);
+  setup_files(*ram_node, 4, 10 * kMB, seconds_to_ticks(600));
+  ram_node->start_prefetch({}, [] {});
+  sim.run();
+  read(*ram_node, 1);  // data-disk read, admitted to RAM
+  sim.run();
+  read(*ram_node, 1);   // RAM hit
+  write(*ram_node, 2);  // RAM-staged write
+  sim.run();
+  EXPECT_EQ(ram_node->ram_hits(), 1u);
+  EXPECT_EQ(ram_node->ram_writes_absorbed(), 1u);
+
+  const std::vector<RequestStatus> expected = {
+      RequestStatus::kOk,              RequestStatus::kOk,
+      RequestStatus::kOk,              RequestStatus::kNodeUnavailable,
+      RequestStatus::kNodeUnavailable, RequestStatus::kNodeUnavailable,
+      RequestStatus::kOk,              RequestStatus::kOk,
+      RequestStatus::kOk};
+  ASSERT_EQ(calls.size(), expected.size());
+  std::vector<std::pair<std::string, std::string>> spans;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.category != obs::kCatNode) continue;
+    EXPECT_GT(ev.dur, 0);
+    spans.emplace_back(tracer.lookup(ev.name), tracer.lookup(ev.detail));
+  }
+  ASSERT_EQ(spans.size(), calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].second, expected[i]) << "serve " << i;
+    EXPECT_EQ(spans[i].first, calls[i].first) << "serve " << i;
+    EXPECT_EQ(spans[i].second, to_string(calls[i].second)) << "serve " << i;
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 }  // namespace
