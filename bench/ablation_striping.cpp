@@ -27,11 +27,9 @@ int main(int argc, char** argv) {
     // NPF reference with the same disk count.
     core::ClusterConfig npf_cfg = bench::paper_config();
     npf_cfg.data_disks_per_node = 4;
-    npf_cfg.enable_prefetch = false;
-    npf_cfg.power_policy = core::PowerPolicy::kNone;
     core::RunMetrics npf;
     {
-      core::Cluster c(npf_cfg);
+      core::Cluster c(core::without_prefetch(npf_cfg));
       npf = c.run(w);
     }
     out->add_run(format("mb=%.0f/npf", mb), npf);

@@ -1,5 +1,6 @@
 #include "core/cluster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/logging.hpp"
@@ -134,70 +135,61 @@ void Cluster::build_infra() {
   }
 }
 
-void Cluster::build(const workload::Workload& workload) {
-  build_infra();
-  if (config_.online_popularity) {
-    // Blind mode: the server knows the files (sizes) but nothing about
-    // the access pattern — popularity is learned from the request log.
-    workload::Workload blind;
-    blind.name = workload.name + "/blind";
-    blind.file_sizes = workload.file_sizes;
-    server_->ingest_history(blind);
-    server_->place_and_create(blind);
-    server_->distribute_patterns(blind);
-  } else {
-    server_->ingest_history(workload);
-    server_->place_and_create(workload);
-    server_->distribute_patterns(workload);
-  }
-  arm_faults();
-}
-
-void Cluster::build_stream(const workload::StreamingWorkload& workload) {
-  if (config_.online_popularity) {
-    throw std::invalid_argument(
-        "Cluster: run_stream uses offline popularity (the request log is "
-        "disabled at streaming scale)");
-  }
+void Cluster::build(const workload::StreamingWorkload& source,
+                    bool exact_hints) {
   build_infra();
 
-  // Pass 1: fold the request sequence into exact per-file aggregates —
-  // the same numbers the PopularityAnalyzer would extract from a
-  // materialized trace, at O(num_files) memory.
-  const std::size_t nf = workload.num_files();
-  std::vector<std::size_t> counts(nf, 0);
-  std::vector<trace::FilePopularity> pop(nf);
-  std::vector<Tick> prev(nf, 0);
-  std::vector<Tick> gap_sum(nf, 0);
-  std::size_t total = 0;
+  // Pass 1: fold the request sequence into exact per-file popularity
+  // aggregates, count it, and collect each file's access-pattern hints —
+  // its arrivals when the source is a resident trace.
+  const bool blind = config_.online_popularity;
+  trace::PopularityFold fold;
+  std::vector<std::vector<Tick>> hints(exact_hints ? source.num_files() : 0);
   Tick horizon = 0;
-  auto pass = workload.open();
+  auto pass = source.open();
   trace::TraceRecord r;
   while (pass->next(&r)) {
-    trace::FilePopularity& p = pop.at(r.file);
-    if (p.accesses == 0) {
-      p.file = r.file;
-      p.first_access = r.arrival;
-    } else {
-      gap_sum[r.file] += r.arrival - prev[r.file];
+    if (r.file >= source.num_files()) {
+      throw std::invalid_argument(
+          format("Cluster: request for unknown file %u", r.file));
     }
-    ++p.accesses;
-    p.bytes += r.bytes;
-    p.last_access = r.arrival;
-    prev[r.file] = r.arrival;
-    ++counts[r.file];
-    ++total;
+    fold.add(r);
+    if (exact_hints && !blind) hints[r.file].push_back(r.arrival);
     horizon = r.arrival;  // arrivals are non-decreasing
   }
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (pop[f].accesses > 1) {
-      pop[f].mean_gap = gap_sum[f] / static_cast<Tick>(pop[f].accesses - 1);
+  if (fold.total() != source.num_requests) {
+    throw std::invalid_argument(
+        format("Cluster: workload '%s' declares %zu requests but yields %zu",
+               source.name.c_str(), source.num_requests, fold.total()));
+  }
+  responses_outstanding_ = fold.total();
+  // A resident trace is pulled into the client queues whole; a lazy
+  // source only one second ahead of simulated time.
+  lookahead_ = exact_hints ? horizon : seconds_to_ticks(1.0);
+
+  std::vector<trace::FilePopularity> pop = fold.take();
+  if (!exact_hints && horizon > 0) {
+    // Modeled hints: each file's accesses evenly spaced over the horizon
+    // (the constant-rate view the predictive power policy takes).
+    // Midpoint spacing keeps the first expected access off t=0 and the
+    // last off the horizon edge, so modeled idle windows stay symmetric.
+    hints.resize(pop.size());
+    for (std::size_t f = 0; f < pop.size(); ++f) {
+      const auto c = static_cast<Tick>(pop[f].accesses);
+      hints[f].reserve(pop[f].accesses);
+      for (Tick i = 0; i < c; ++i) {
+        hints[f].push_back((2 * i + 1) * horizon / (2 * c));
+      }
     }
   }
-  server_->ingest_popularity(std::move(pop), total);
-  server_->place_and_create(workload.file_sizes);
-  server_->distribute_pattern_summaries(counts, horizon);
-  server_->set_request_log_enabled(false);
+  // Online mode is blind: the server knows the files (sizes) but nothing
+  // about the access pattern — popularity is learned from the request
+  // log at run time.
+  server_->ingest_popularity(
+      blind ? trace::PopularityAnalyzer({}, 0)
+            : trace::PopularityAnalyzer(std::move(pop), fold.total()));
+  server_->place_and_create(source.file_sizes);
+  server_->distribute_patterns(std::move(hints), blind ? 0 : horizon);
   arm_faults();
 }
 
@@ -242,34 +234,32 @@ void Cluster::arm_faults() {
 }
 
 RunMetrics Cluster::run(const workload::Workload& workload) {
-  if (finished_) {
-    throw std::logic_error("Cluster: run() may only be called once");
-  }
-  if (workload.requests.empty()) {
-    throw std::invalid_argument("Cluster: empty workload");
-  }
-  build(workload);
-  return run_phase([this, &workload](Tick replay_start) {
-    start_replay(workload, replay_start);
-  });
+  RunMetrics m = replay(workload::as_stream(workload), /*exact_hints=*/true);
+  // The trace was resident before the run: there is no window to budget.
+  stream_peak_resident_ = 0;
+  return m;
 }
 
 RunMetrics Cluster::run_stream(const workload::StreamingWorkload& workload) {
+  if (config_.online_popularity) {
+    throw std::invalid_argument(
+        "Cluster: run_stream uses offline popularity (the online refresh "
+        "logs every routed request)");
+  }
+  return replay(workload, /*exact_hints=*/false);
+}
+
+RunMetrics Cluster::replay(const workload::StreamingWorkload& source,
+                           bool exact_hints) {
   if (finished_) {
     throw std::logic_error("Cluster: run() may only be called once");
   }
-  if (workload.num_requests == 0 || !workload.open) {
-    throw std::invalid_argument("Cluster: empty streaming workload");
+  if (source.num_requests == 0 || !source.open) {
+    throw std::invalid_argument("Cluster: empty workload");
   }
-  build_stream(workload);
-  stream_mode_ = true;
-  stream_ = workload.open();
-  responses_outstanding_ = workload.num_requests;
-  return run_phase(
-      [this](Tick replay_start) { start_stream_replay(replay_start); });
-}
+  build(source, exact_hints);
+  stream_ = source.open();
 
-RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
   // Step 3b: prefetch, then replay once every node is done (barrier).
   // In online mode nothing is known yet, so the initial prefetch is
   // empty and the periodic refresh does the work.
@@ -285,25 +275,10 @@ RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
   if (recovery_) recovery_->set_rewarm_candidates(candidates);
 
   auto barrier = std::make_shared<std::size_t>(nodes_.size());
-  (void)sim_->schedule_at(0, [this, &start, candidates, barrier] {
+  (void)sim_->schedule_at(0, [this, candidates, barrier] {
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      nodes_[n]->start_prefetch(candidates[n], [this, &start, barrier] {
-        if (--*barrier == 0) {
-          const Tick replay_start = sim_->now();
-          metrics_.prefetch_duration = replay_start;
-          for (auto& node : nodes_) node->begin_replay(replay_start);
-          if (config_.online_popularity && config_.enable_prefetch) {
-            server_->begin_online_refresh(
-                config_.prefetch_file_count,
-                seconds_to_ticks(config_.refresh_interval_sec));
-          }
-          if (injector_ && config_.heartbeat_interval_sec > 0) {
-            server_->begin_health_monitor(
-                seconds_to_ticks(config_.heartbeat_interval_sec),
-                config_.heartbeat_miss_threshold);
-          }
-          start(replay_start);
-        }
+      nodes_[n]->start_prefetch(candidates[n], [this, barrier] {
+        if (--*barrier == 0) begin_replay();
       });
     }
   });
@@ -316,64 +291,48 @@ RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
   return metrics_;
 }
 
-void Cluster::start_replay(const workload::Workload& workload,
-                           Tick replay_start) {
-  responses_outstanding_ = workload.requests.size();
-  all_issued_ = true;  // per-client chains below cover every record
-
+void Cluster::begin_replay() {
+  const Tick replay_start = sim_->now();
+  metrics_.prefetch_duration = replay_start;
+  for (auto& node : nodes_) node->begin_replay(replay_start);
+  if (config_.online_popularity && config_.enable_prefetch) {
+    server_->begin_online_refresh(
+        config_.prefetch_file_count,
+        seconds_to_ticks(config_.refresh_interval_sec));
+  }
+  if (injector_ && config_.heartbeat_interval_sec > 0) {
+    server_->begin_health_monitor(
+        seconds_to_ticks(config_.heartbeat_interval_sec),
+        config_.heartbeat_miss_threshold);
+  }
   // Closed loop per client, like the paper's replayer: a client issues
   // its next record at its trace arrival time, but never before its
   // previous request completed.  This bounds queues at zero inter-arrival
   // delay and stretches the run when service times exceed the spacing
   // (the paper's 50 MB "test ran longer than the original trace time").
-  replay_queues_.assign(clients_.size(), {});
-  open_requests_.assign(clients_.size(), {});
-  for (const trace::TraceRecord& r : workload.requests.records()) {
-    replay_queues_[r.client % clients_.size()].push_back(r);
-  }
-  for (std::size_t c = 0; c < clients_.size(); ++c) {
-    if (!replay_queues_[c].empty()) {
-      (void)sim_->schedule_at(replay_start + replay_queues_[c].front().arrival,
-                        [this, c, replay_start] { issue_next(c, replay_start); });
-    }
-  }
-  if (responses_outstanding_ == 0) finish_run();
-}
-
-void Cluster::start_stream_replay(Tick replay_start) {
-  all_issued_ = true;  // the pump + per-client chains cover every record
-  replay_queues_.assign(clients_.size(), {});
-  open_requests_.assign(clients_.size(), {});
   // Every client starts idle; the pump wakes each one as its first
   // record enters the look-ahead window.
+  replay_queues_.assign(clients_.size(), {});
+  open_requests_.assign(clients_.size(), {});
   client_waiting_.assign(clients_.size(), true);
-  if (responses_outstanding_ == 0) {
-    finish_run();
-    return;
-  }
-  pump_stream(replay_start);
+  pump(replay_start);
 }
 
-void Cluster::pump_stream(Tick replay_start) {
-  // Records due within this much trace time are pulled eagerly; later
-  // ones wait in the stream.  The window (plus genuine client backlog)
-  // is all that is ever resident — the high-water mark is
-  // stream_peak_resident_records().
-  const Tick lookahead = seconds_to_ticks(1.0);
+void Cluster::pump(Tick replay_start) {
+  // Records due within the look-ahead window are pulled into their
+  // clients' queues; later ones wait in the stream.  For a lazy source
+  // the window (plus genuine client backlog) is all that is ever
+  // resident — the high-water mark is stream_peak_resident_records().
   for (;;) {
     if (!stream_has_pending_) {
-      if (!stream_ || !stream_->next(&stream_pending_)) {
+      if (!stream_->next(&stream_pending_)) {
         stream_.reset();  // dry: remaining work is all in client queues
-        return;
+        break;
       }
       stream_has_pending_ = true;
     }
-    const Tick due = replay_start + stream_pending_.arrival;
-    if (due > sim_->now() + lookahead) {
-      pump_timer_ = sim_->schedule_at(
-          due - lookahead,
-          [this, replay_start] { pump_stream(replay_start); });
-      return;
+    if (replay_start + stream_pending_.arrival > sim_->now() + lookahead_) {
+      break;
     }
     const std::size_t c = stream_pending_.client % clients_.size();
     replay_queues_[c].push_back(stream_pending_);
@@ -384,11 +343,24 @@ void Cluster::pump_stream(Tick replay_start) {
     }
     if (client_waiting_[c]) {
       client_waiting_[c] = false;
-      (void)sim_->schedule_at(std::max(due, sim_->now()),
-                        [this, c, replay_start] {
-                          issue_next(c, replay_start);
-                        });
+      woken_.push_back(c);
     }
+  }
+  // Clients woken by one pull start in client-index order, so same-tick
+  // arrivals issue in the same order whatever the window.
+  std::sort(woken_.begin(), woken_.end());
+  for (const std::size_t c : woken_) {
+    const Tick due = replay_start + replay_queues_[c].front().arrival;
+    (void)sim_->schedule_at(std::max(due, sim_->now()),
+                            [this, c, replay_start] {
+                              issue_next(c, replay_start);
+                            });
+  }
+  woken_.clear();
+  if (stream_has_pending_) {
+    (void)sim_->schedule_at(
+        replay_start + stream_pending_.arrival - lookahead_,
+        [this, replay_start] { pump(replay_start); });
   }
 }
 
@@ -398,7 +370,7 @@ void Cluster::issue_next(std::size_t client_idx, Tick replay_start) {
   req.r = queue.front();
   req.replay_start = replay_start;
   queue.pop_front();
-  if (stream_mode_) --stream_resident_;
+  --stream_resident_;
   start_attempt(client_idx, 0);
 }
 
@@ -472,7 +444,7 @@ void Cluster::complete_request(std::size_t client_idx, Tick replay_start) {
                       [this, client_idx, replay_start] {
                         issue_next(client_idx, replay_start);
                       });
-  } else if (stream_mode_) {
+  } else {
     // Queue drained: the pump re-wakes this client when its next record
     // enters the look-ahead window.
     client_waiting_[client_idx] = true;
@@ -745,6 +717,12 @@ void Cluster::snapshot_counters() {
   metrics_.counters = reg.snapshot();
 }
 
+ClusterConfig without_prefetch(ClusterConfig config) {
+  config.enable_prefetch = false;
+  config.power_policy = PowerPolicy::kNone;
+  return config;
+}
+
 PfNpfComparison run_pf_npf(const ClusterConfig& config,
                            const workload::Workload& workload) {
   PfNpfComparison out;
@@ -755,37 +733,8 @@ PfNpfComparison run_pf_npf(const ClusterConfig& config,
     out.pf = cluster.run(workload);
   }
   {
-    // The paper's NPF never transitions disks: the standby schedule is
-    // derived from the prefetch plan (§III-C), so without prefetching
-    // there are no marked sleep points — NPF's Fig. 4/5 curves show no
-    // transition or spin-up artifacts.  Model that by disabling power
-    // management alongside prefetching.
-    ClusterConfig npf = config;
-    npf.enable_prefetch = false;
-    npf.power_policy = PowerPolicy::kNone;
-    Cluster cluster(npf);
+    Cluster cluster(without_prefetch(config));
     out.npf = cluster.run(workload);
-  }
-  return out;
-}
-
-PfNpfComparison run_pf_npf_stream(const ClusterConfig& config,
-                                  const workload::StreamingWorkload& workload) {
-  PfNpfComparison out;
-  {
-    ClusterConfig pf = config;
-    pf.enable_prefetch = true;
-    Cluster cluster(pf);
-    out.pf = cluster.run_stream(workload);
-  }
-  {
-    // Same NPF modeling as run_pf_npf: no prefetch plan means no marked
-    // sleep points, so power management is off entirely.
-    ClusterConfig npf = config;
-    npf.enable_prefetch = false;
-    npf.power_policy = PowerPolicy::kNone;
-    Cluster cluster(npf);
-    out.npf = cluster.run_stream(workload);
   }
   return out;
 }

@@ -51,21 +51,30 @@ class Cluster {
   /// Runs the full process flow over `workload` and returns the metrics
   /// (metered from t=0, i.e. including the prefetch phase, until the last
   /// response — plus the final write-buffer destage if any).
+  ///
+  /// run() and run_stream() are two entries into one replay.  Setup is
+  /// one pass over the requests that folds exact per-file popularity
+  /// aggregates, counts the requests and collects the nodes'
+  /// access-pattern hints; replay is one pump that pulls records into
+  /// per-client queues a look-ahead window ahead of simulated time.  What
+  /// depends on the source:
+  ///  * run() reads a resident trace: nodes get each file's exact arrival
+  ///    times, and the window is the whole trace (pulled at replay start);
+  ///  * run_stream() reads a lazy stream (a second pass feeds the pump):
+  ///    nodes get a timeline modeled from each file's access COUNT
+  ///    (evenly spaced over the horizon), and the window is 1 s, so the
+  ///    replay never holds the whole run.  Online popularity is rejected
+  ///    (std::invalid_argument), as is a workload whose num_requests
+  ///    disagrees with what its stream yields.
+  /// The server's request log records routed requests only while the
+  /// online-popularity refresh runs, its one reader.
   RunMetrics run(const workload::Workload& workload);
-
-  /// Streaming variant for datacenter-scale runs: requests come from a
-  /// lazily-evaluated stream and are never fully materialized.  Setup
-  /// folds one pass into exact popularity aggregates; replay pulls a
-  /// bounded look-ahead window from a second pass.  Differences from
-  /// run(): nodes get per-file access COUNT summaries instead of exact
-  /// arrival timelines (power hints are modeled as evenly spaced), the
-  /// server's request log is disabled, and online popularity mode is
-  /// not supported.
   RunMetrics run_stream(const workload::StreamingWorkload& workload);
 
   /// High-water mark of replay records resident at once during
   /// run_stream (look-ahead window + client backlogs) — the per-cell
-  /// memory-budget figure the scalability bench reports.
+  /// memory-budget figure the scalability bench reports.  0 after run(),
+  /// whose trace is resident before the replay starts.
   std::size_t stream_peak_resident_records() const {
     return stream_peak_resident_;
   }
@@ -103,17 +112,20 @@ class Cluster {
   /// Fault-plan arming (no-op for an empty plan); after ingest so the
   /// recovery manager sees the final node set.
   void arm_faults();
-  void build(const workload::Workload& workload);
-  void build_stream(const workload::StreamingWorkload& workload);
-  /// Shared run skeleton: prefetch barrier, then `start(replay_start)`,
-  /// then drain + finish checks.
-  RunMetrics run_phase(const std::function<void(Tick)>& start);
-  void start_replay(const workload::Workload& workload, Tick replay_start);
-  void start_stream_replay(Tick replay_start);
-  /// Pulls stream records due within the look-ahead window into the
-  /// per-client queues, waking idle clients; re-arms itself at the next
-  /// record's window entry.
-  void pump_stream(Tick replay_start);
+  /// The one process flow behind run() and run_stream(): setup, prefetch
+  /// barrier, pump-fed replay, drain + finish checks.  `exact_hints`: the
+  /// source is a resident trace (see run()).
+  RunMetrics replay(const workload::StreamingWorkload& source,
+                    bool exact_hints);
+  /// Steps 1-4 from one pass over `source`.
+  void build(const workload::StreamingWorkload& source, bool exact_hints);
+  /// Runs at the prefetch barrier: starts the replay-phase services and
+  /// the first pump.
+  void begin_replay();
+  /// Pulls records due within the look-ahead window into the per-client
+  /// queues, waking idle clients in client-index order; re-arms itself
+  /// at the next record's window entry.
+  void pump(Tick replay_start);
   void issue_next(std::size_t client_idx, Tick replay_start);
   /// One attempt of the client's open request: deadline-guarded, typed
   /// completion.
@@ -147,7 +159,6 @@ class Cluster {
   RecoveryManager::Histograms recovery_hists_;
 
   std::size_t responses_outstanding_ = 0;
-  bool all_issued_ = false;
   std::vector<std::deque<trace::TraceRecord>> replay_queues_;
   /// The one request a closed-loop client has outstanding.  `seq` numbers
   /// the client's attempts, so completions of an earlier attempt, or of
@@ -165,14 +176,14 @@ class Cluster {
   bool finished_ = false;
   RunMetrics metrics_;
 
-  // streaming replay state (run_stream only)
+  // replay pump state
   std::unique_ptr<workload::RequestStream> stream_;
   trace::TraceRecord stream_pending_{};
   bool stream_has_pending_ = false;
-  bool stream_mode_ = false;
+  Tick lookahead_ = 0;
   /// Clients that drained their queue and await the pump.
   std::vector<bool> client_waiting_;
-  sim::EventHandle pump_timer_;
+  std::vector<std::size_t> woken_;  // scratch: clients one pull woke
   std::size_t stream_resident_ = 0;
   std::size_t stream_peak_resident_ = 0;
 
@@ -191,10 +202,13 @@ struct PfNpfComparison {
   double energy_gain() const { return pf.energy_gain_vs(npf); }
   double response_penalty() const { return pf.response_penalty_vs(npf); }
 };
+/// The paper's NPF counterpart of `config` (§III-C): the standby
+/// schedule is derived from the prefetch plan, so without prefetching
+/// there are no marked sleep points and power management is off too —
+/// NPF's Fig. 4/5 curves show no transition or spin-up artifacts.
+ClusterConfig without_prefetch(ClusterConfig config);
+
 PfNpfComparison run_pf_npf(const ClusterConfig& config,
                            const workload::Workload& workload);
-/// Streaming twin of run_pf_npf (datacenter-scale cells).
-PfNpfComparison run_pf_npf_stream(const ClusterConfig& config,
-                                  const workload::StreamingWorkload& workload);
 
 }  // namespace eevfs::core

@@ -24,17 +24,8 @@ void StorageServer::register_nodes(std::vector<StorageNode*> nodes) {
   stale_files_.assign(nodes_.size(), {});
 }
 
-void StorageServer::ingest_history(const workload::Workload& history) {
-  analyzer_.emplace(history.requests);
-}
-
-void StorageServer::ingest_popularity(
-    std::vector<trace::FilePopularity> summaries, std::size_t total_accesses) {
-  analyzer_.emplace(std::move(summaries), total_accesses);
-}
-
-void StorageServer::place_and_create(const workload::Workload& workload) {
-  place_and_create(workload.file_sizes);
+void StorageServer::ingest_popularity(trace::PopularityAnalyzer popularity) {
+  analyzer_.emplace(std::move(popularity));
 }
 
 void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
@@ -42,7 +33,7 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
     throw std::logic_error("StorageServer: register_nodes first");
   }
   if (!analyzer_) {
-    throw std::logic_error("StorageServer: ingest_history first");
+    throw std::logic_error("StorageServer: ingest_popularity first");
   }
   placement_ = place_files(placement_policy_, nodes_.size(),
                            file_sizes.size(), *analyzer_,
@@ -70,50 +61,28 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
   }
 }
 
-void StorageServer::distribute_pattern_summaries(
-    const std::vector<std::size_t>& counts, Tick horizon) {
-  if (placement_.node_of.empty()) {
-    throw std::logic_error("StorageServer: place_and_create first");
-  }
-  std::vector<std::map<trace::FileId, std::size_t>> per_node(nodes_.size());
-  for (trace::FileId f = 0; f < counts.size(); ++f) {
-    if (counts[f] == 0) continue;
-    if (placement_.erasure) {
-      // Mirrors distribute_patterns: every data-chunk holder serves the
-      // read, parity holders stay cold.
-      const auto& holders = placement_.replicas(f);
-      for (std::size_t c = 0; c < placement_.ec_k; ++c) {
-        per_node[holders[c]][f] = counts[f];
-      }
-    } else {
-      per_node[placement_.node(f)][f] = counts[f];
-    }
-  }
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    nodes_[n]->receive_access_summary(std::move(per_node[n]), horizon);
-  }
-}
-
-void StorageServer::distribute_patterns(const workload::Workload& workload) {
+void StorageServer::distribute_patterns(
+    std::vector<std::vector<Tick>> offsets, Tick horizon) {
   if (placement_.node_of.empty()) {
     throw std::logic_error("StorageServer: place_and_create first");
   }
   std::vector<std::map<trace::FileId, std::vector<Tick>>> per_node(
       nodes_.size());
-  for (const trace::TraceRecord& r : workload.requests.records()) {
+  for (trace::FileId f = 0; f < offsets.size(); ++f) {
+    if (offsets[f].empty()) continue;
     if (placement_.erasure) {
       // Every data-chunk holder takes part in serving a read, so each of
       // the first k holders gets the hint; parity holders stay cold until
       // a degraded read or repair pulls them in.
-      const auto& holders = placement_.replicas(r.file);
-      for (std::size_t c = 0; c < placement_.ec_k; ++c) {
-        per_node[holders[c]][r.file].push_back(r.arrival);
+      const auto& holders = placement_.replicas(f);
+      for (std::size_t c = 0; c + 1 < placement_.ec_k; ++c) {
+        per_node[holders[c]][f] = offsets[f];
       }
+      per_node[holders[placement_.ec_k - 1]][f] = std::move(offsets[f]);
     } else {
-      per_node[placement_.node(r.file)][r.file].push_back(r.arrival);
+      per_node[placement_.node(f)][f] = std::move(offsets[f]);
     }
   }
-  const Tick horizon = workload.requests.duration();
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     nodes_[n]->receive_access_pattern(std::move(per_node[n]), horizon);
   }
@@ -122,7 +91,7 @@ void StorageServer::distribute_patterns(const workload::Workload& workload) {
 std::vector<std::vector<trace::FileId>> StorageServer::prefetch_candidates(
     std::size_t k) const {
   if (!analyzer_) {
-    throw std::logic_error("StorageServer: ingest_history first");
+    throw std::logic_error("StorageServer: ingest_popularity first");
   }
   std::vector<std::vector<trace::FileId>> per_node(nodes_.size());
   for (const trace::FileId f : analyzer_->top(k)) {
@@ -299,7 +268,7 @@ void StorageServer::route(const trace::TraceRecord& r,
     throw std::logic_error("StorageServer: request for unknown file " +
                            std::to_string(r.file));
   }
-  if (log_enabled_) log_.append(r.file, sim_.now(), r.bytes);
+  if (refresh_timer_.pending()) log_.append(r.file, sim_.now(), r.bytes);
   ++requests_routed_;
   // Pay the metadata probe, then walk the candidate list (or fork the
   // erasure fan-out).  Candidate order is decided after the probe, from

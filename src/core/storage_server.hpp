@@ -1,8 +1,9 @@
 // The storage server (paper §III-A): the metadata/routing front end.  It
 // knows only which *node* holds each file — never which disk (§IV-D) —
-// derives popularity from its append-only request log, performs the
-// popularity round-robin placement, splits the access pattern per node,
-// and forwards client requests to the owning node.
+// ranks files by the popularity it is given (or, online, by its
+// append-only request log), performs the popularity round-robin
+// placement, splits the access pattern per node, and forwards client
+// requests to the owning node.
 //
 // Robustness extension: the server is also the failover point.  Files can
 // be placed on `replication_degree` nodes; when a node fails a request
@@ -53,7 +54,6 @@
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
-#include "workload/synthetic.hpp"
 
 namespace eevfs::core {
 
@@ -71,17 +71,11 @@ class StorageServer {
   /// Step 1: the server connects to its storage nodes.
   void register_nodes(std::vector<StorageNode*> nodes);
 
-  /// Step 2: derive popularity.  The prototype learns the pattern from a
-  /// history trace (paper §IV-A: "uses a trace to replay file access
-  /// patterns and bases the file popularity on information gathered from
-  /// traces").
-  void ingest_history(const workload::Workload& history);
-
-  /// Step 2, streaming form: exact per-file aggregates computed in one
-  /// pass over a request stream (Cluster::run_stream) instead of a
-  /// materialized trace.  Produces the same ranking the trace form would.
-  void ingest_popularity(std::vector<trace::FilePopularity> summaries,
-                         std::size_t total_accesses);
+  /// Step 2: take the derived popularity.  The prototype learns the
+  /// pattern from a history trace (paper §IV-A: "uses a trace to replay
+  /// file access patterns and bases the file popularity on information
+  /// gathered from traces"); Cluster folds it in its setup pass.
+  void ingest_popularity(trace::PopularityAnalyzer popularity);
 
   /// How many copies of every file place_and_create lays out (clamped to
   /// the node count; 1 = the paper's unreplicated system).
@@ -128,30 +122,19 @@ class StorageServer {
     hist_ec_reconstruct_ = hist;
   }
 
-  /// Step 3: place every file and issue create-file calls to the nodes
-  /// in popularity order (drives their local disk round-robin).
-  void place_and_create(const workload::Workload& workload);
-
-  /// Streaming form: identical placement/creation from the per-file
-  /// sizes alone (popularity comes from the ingested aggregates).
+  /// Step 3: place every file (`file_sizes` indexed by file id) and issue
+  /// create-file calls to the nodes in popularity order (drives their
+  /// local disk round-robin).
   void place_and_create(const std::vector<Bytes>& file_sizes);
 
   /// Step 4: split the access pattern per node and forward it
-  /// (application hints, §IV-C).  Hints go to the primary replica only —
+  /// (application hints, §IV-C).  `offsets[f]` holds file f's sorted
+  /// access offsets from replay start — exact arrivals, or a modeled
+  /// timeline — and `horizon` the pattern's length.  Hints go to the
+  /// primary replica only (every data-chunk holder under erasure coding);
   /// secondaries serve cold and are only woken by failover traffic.
-  void distribute_patterns(const workload::Workload& workload);
-
-  /// Step 4, streaming form: forwards per-file access COUNTS over the
-  /// horizon instead of exact arrival timelines (which would materialize
-  /// the whole run).  Nodes model each file's accesses as evenly spaced
-  /// — the same constant-rate view the predictive power policy takes.
-  void distribute_pattern_summaries(const std::vector<std::size_t>& counts,
-                                    Tick horizon);
-
-  /// The append-only request log grows with every routed request; the
-  /// datacenter-scale streaming path disables it (offline popularity
-  /// does not read it back; online refresh requires it enabled).
-  void set_request_log_enabled(bool enabled) { log_enabled_ = enabled; }
+  void distribute_patterns(std::vector<std::vector<Tick>> offsets,
+                           Tick horizon);
 
   /// This node-indexed slice of the globally top-`k` files, each slice in
   /// global rank order — the prefetch instruction of step 3.  Primary
@@ -161,7 +144,8 @@ class StorageServer {
 
   /// Online mode (extension): every `interval`, re-rank the append-only
   /// request log, take the global top-`k`, and tell each node to update
-  /// its buffered set.  Runs until stop_online_refresh().
+  /// its buffered set.  Runs until stop_online_refresh(); the log records
+  /// routed requests only while it runs, since nothing else reads it.
   void begin_online_refresh(std::size_t k, Tick interval);
   void stop_online_refresh();
   std::uint64_t refreshes_performed() const { return refreshes_; }
@@ -190,6 +174,7 @@ class StorageServer {
   /// Counting lookups mutate the store's probe statistics; the recovery
   /// manager resolves replica sources through this.
   ServerMetadata& mutable_metadata() { return metadata_; }
+  /// Requests routed while the online refresh ran (empty otherwise).
   const trace::AccessLog& request_log() const { return log_; }
   const trace::PopularityAnalyzer* popularity() const {
     return analyzer_ ? &*analyzer_ : nullptr;
@@ -283,7 +268,6 @@ class StorageServer {
   PlacementMap placement_;
   ServerMetadata metadata_;
   trace::AccessLog log_;
-  bool log_enabled_ = true;
   std::size_t replication_degree_ = 1;
   std::uint64_t requests_routed_ = 0;
   sim::EventHandle refresh_timer_;

@@ -1,9 +1,9 @@
 // The storage server's append-only request log (paper §IV).
 //
-// At runtime the server appends every request here; popularity used for
-// placement and prefetch decisions is derived from the log.  The log also
-// maintains a per-file EWMA of inter-access gaps, which the hint-based
-// power manager uses as its next-access predictor.
+// While the online-popularity refresh runs, the server appends every
+// routed request here and re-ranks the log for its prefetch decisions.
+// The log also keeps a per-file EWMA of inter-access gaps
+// (predicted_gap).
 #pragma once
 
 #include <cstddef>

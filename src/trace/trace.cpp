@@ -27,40 +27,35 @@ Bytes Trace::total_bytes() const { return total_bytes_; }
 
 std::size_t Trace::unique_files() const { return counts_.size(); }
 
+void PopularityFold::add(const TraceRecord& r) {
+  if (r.file >= files_.size()) files_.resize(std::size_t{r.file} + 1);
+  FilePopularity& p = files_[r.file];
+  if (p.accesses == 0) {
+    p.file = r.file;
+    p.first_access = r.arrival;
+  } else {
+    p.mean_gap += r.arrival - p.last_access;
+  }
+  p.last_access = r.arrival;
+  ++p.accesses;
+  p.bytes += r.bytes;
+  ++total_;
+}
+
+std::vector<FilePopularity> PopularityFold::take() {
+  for (FilePopularity& p : files_) {
+    p.mean_gap = p.accesses > 1
+                     ? p.mean_gap / static_cast<Tick>(p.accesses - 1)
+                     : 0;
+  }
+  return std::move(files_);
+}
+
 PopularityAnalyzer::PopularityAnalyzer(const Trace& trace) {
-  std::map<FileId, FilePopularity> acc;
-  std::map<FileId, Tick> prev_access;
-  std::map<FileId, Tick> gap_sum;
-  for (const TraceRecord& r : trace.records()) {
-    auto [it, inserted] = acc.try_emplace(r.file);
-    FilePopularity& p = it->second;
-    if (inserted) {
-      p.file = r.file;
-      p.first_access = r.arrival;
-    } else {
-      gap_sum[r.file] += r.arrival - prev_access[r.file];
-    }
-    p.last_access = r.arrival;
-    ++p.accesses;
-    p.bytes += r.bytes;
-    prev_access[r.file] = r.arrival;
-    ++total_accesses_;
-  }
-  ranked_.reserve(acc.size());
-  for (auto& [file, p] : acc) {
-    if (p.accesses > 1) {
-      p.mean_gap = gap_sum[file] / static_cast<Tick>(p.accesses - 1);
-    }
-    ranked_.push_back(p);
-  }
-  std::stable_sort(ranked_.begin(), ranked_.end(),
-                   [](const FilePopularity& a, const FilePopularity& b) {
-                     if (a.accesses != b.accesses) return a.accesses > b.accesses;
-                     return a.file < b.file;
-                   });
-  for (std::size_t i = 0; i < ranked_.size(); ++i) {
-    rank_of_[ranked_[i].file] = i;
-  }
+  PopularityFold fold;
+  for (const TraceRecord& r : trace.records()) fold.add(r);
+  const std::size_t total = fold.total();
+  *this = PopularityAnalyzer(fold.take(), total);
 }
 
 PopularityAnalyzer::PopularityAnalyzer(std::vector<FilePopularity> summaries,

@@ -50,16 +50,32 @@ struct FilePopularity {
   Tick mean_gap = 0;
 };
 
+/// Folds records, in arrival order, into exact per-file aggregates
+/// indexed by file id: the one popularity pass behind both
+/// PopularityAnalyzer constructors and Cluster's setup.
+class PopularityFold {
+ public:
+  void add(const TraceRecord& r);
+
+  std::size_t total() const { return total_; }
+  /// The aggregates, mean gaps final; never-accessed ids read 0 accesses.
+  std::vector<FilePopularity> take();
+
+ private:
+  /// mean_gap holds the running gap sum until take().
+  std::vector<FilePopularity> files_;
+  std::size_t total_ = 0;
+};
+
 /// Computes file popularity; `ranked` is sorted by access count
 /// descending, ties broken by lower file id (deterministic placement).
 class PopularityAnalyzer {
  public:
+  /// Ranks the PopularityFold of the whole trace.
   explicit PopularityAnalyzer(const Trace& trace);
 
-  /// Aggregate form for the streaming path: per-file summaries computed
-  /// in one pass over a request stream (any order; zero-access entries
-  /// are dropped) and the total access count.  Equivalent to the Trace
-  /// constructor when the summaries are exact.
+  /// Per-file summaries (any order; zero-access entries are dropped) and
+  /// the total access count, e.g. a PopularityFold's.
   PopularityAnalyzer(std::vector<FilePopularity> summaries,
                      std::size_t total_accesses);
 

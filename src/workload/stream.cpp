@@ -2,9 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace eevfs::workload {
+
+namespace {
+
+class TraceStream : public RequestStream {
+ public:
+  explicit TraceStream(std::span<const trace::TraceRecord> records)
+      : records_(records) {}
+
+  bool next(trace::TraceRecord* out) override {
+    if (next_ == records_.size()) return false;
+    *out = records_[next_++];
+    return true;
+  }
+
+ private:
+  std::span<const trace::TraceRecord> records_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
+StreamingWorkload as_stream(const Workload& workload) {
+  StreamingWorkload w;
+  w.name = workload.name;
+  w.file_sizes = workload.file_sizes;
+  w.num_requests = workload.requests.size();
+  w.open = [&workload] {
+    return std::make_unique<TraceStream>(workload.requests.records());
+  };
+  return w;
+}
 
 SyntheticStream::SyntheticStream(
     const SyntheticConfig& config,

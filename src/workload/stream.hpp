@@ -1,18 +1,21 @@
-// Streaming workload generation (datacenter-scale path).
+// Streaming workload generation and the one request source the cluster
+// replays from.
 //
 // A materialized workload::Workload holds every TraceRecord of the run up
 // front — fine at the paper's 1000-request scale, hopeless for a
-// 1024-node cell replaying millions of requests (the trace, the server's
-// request log, and the replay queues would each hold the full run).  A
-// StreamingWorkload instead carries only the per-file metadata (sizes —
-// O(num_files)) plus a factory that opens a fresh *pass* over the
-// request sequence; requests are produced lazily, one at a time, in
-// arrival order, and are never fully materialized anywhere:
+// 1024-node cell replaying millions of requests.  A StreamingWorkload
+// instead carries only the per-file metadata (sizes — O(num_files)) plus
+// a factory that opens a fresh *pass* over the request sequence;
+// requests are produced one at a time, in arrival order.
 //
-//  * pass 1 (Cluster::run_stream setup) folds the sequence into exact
-//    per-file popularity aggregates for placement and prefetch ranking;
-//  * pass 2 feeds the replay pump, which holds only a small look-ahead
-//    window of undelivered records (plus each client's backlog).
+// Cluster replays every workload through this interface: run() reads a
+// materialized trace through as_stream(), run_stream() reads a lazy
+// generator.  Either way
+//
+//  * pass 1 (setup) folds the sequence into exact per-file popularity
+//    aggregates, the request count and the access-pattern hints;
+//  * pass 2 feeds the replay pump, which pulls records into per-client
+//    queues one look-ahead window ahead of simulated time.
 //
 // SyntheticStream produces the exact same record sequence as
 // generate_synthetic for the same config — generate_synthetic is
@@ -50,6 +53,10 @@ struct StreamingWorkload {
   std::size_t num_files() const { return file_sizes.size(); }
   Bytes file_size(trace::FileId f) const { return file_sizes.at(f); }
 };
+
+/// A view of a materialized workload as a stream: every pass walks its
+/// trace.  `workload` must outlive the returned value and its passes.
+StreamingWorkload as_stream(const Workload& workload);
 
 /// Lazy generator with generate_synthetic's exact draw order (same rng
 /// forks, same per-record draw sequence).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/presets.hpp"
+#include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/webtrace.hpp"
 
@@ -44,6 +45,16 @@ TEST(Cluster, RejectsEmptyWorkload) {
   workload::Workload empty;
   empty.file_sizes.assign(10, kMB);
   EXPECT_THROW(c.run(empty), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsRequestForUnknownFile) {
+  workload::Workload w = small_workload(50);
+  w.file_sizes.resize(1);  // every request past file 0 names no file
+  Cluster eager(baseline::eevfs_pf());
+  EXPECT_THROW(eager.run(w), std::invalid_argument);
+  Cluster lazy(baseline::eevfs_pf());
+  EXPECT_THROW(lazy.run_stream(workload::as_stream(w)),
+               std::invalid_argument);
 }
 
 TEST(Cluster, AllRequestsAreServedAndBytesConserved) {

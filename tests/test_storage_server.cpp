@@ -45,14 +45,15 @@ class StorageServerTest : public ::testing::Test {
 };
 
 TEST_F(StorageServerTest, LifecycleOrderIsEnforced) {
-  EXPECT_THROW(server->place_and_create(w), std::logic_error);
+  EXPECT_THROW(server->place_and_create(w.file_sizes), std::logic_error);
   EXPECT_THROW(server->prefetch_candidates(10), std::logic_error);
   server->register_nodes(raw);
-  EXPECT_THROW(server->place_and_create(w), std::logic_error);  // no history
-  server->ingest_history(w);
-  EXPECT_THROW(server->distribute_patterns(w), std::logic_error);
-  server->place_and_create(w);
-  server->distribute_patterns(w);  // now fine
+  // no popularity yet
+  EXPECT_THROW(server->place_and_create(w.file_sizes), std::logic_error);
+  server->ingest_popularity(trace::PopularityAnalyzer(w.requests));
+  EXPECT_THROW(server->distribute_patterns({}, 0), std::logic_error);
+  server->place_and_create(w.file_sizes);
+  server->distribute_patterns({}, 0);  // now fine
 }
 
 TEST_F(StorageServerTest, RegisterRejectsEmptyNodeList) {
@@ -61,8 +62,8 @@ TEST_F(StorageServerTest, RegisterRejectsEmptyNodeList) {
 
 TEST_F(StorageServerTest, PlacementCreatesEveryFileOnItsNode) {
   server->register_nodes(raw);
-  server->ingest_history(w);
-  server->place_and_create(w);
+  server->ingest_popularity(trace::PopularityAnalyzer(w.requests));
+  server->place_and_create(w.file_sizes);
   for (trace::FileId f = 0; f < w.num_files(); ++f) {
     const NodeId n = server->placement().node(f);
     EXPECT_TRUE(nodes[n]->data_disk_of(f).has_value());
@@ -76,8 +77,8 @@ TEST_F(StorageServerTest, PlacementCreatesEveryFileOnItsNode) {
 
 TEST_F(StorageServerTest, PrefetchCandidatesAreNodeSlicesOfGlobalTopK) {
   server->register_nodes(raw);
-  server->ingest_history(w);
-  server->place_and_create(w);
+  server->ingest_popularity(trace::PopularityAnalyzer(w.requests));
+  server->place_and_create(w.file_sizes);
   const auto per_node = server->prefetch_candidates(8);
   const trace::PopularityAnalyzer analyzer(w.requests);
   const auto top = analyzer.top(8);
@@ -97,15 +98,17 @@ TEST_F(StorageServerTest, PrefetchCandidatesAreNodeSlicesOfGlobalTopK) {
 
 TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
   server->register_nodes(raw);
-  server->ingest_history(w);
-  server->place_and_create(w);
-  server->distribute_patterns(w);
+  server->ingest_popularity(trace::PopularityAnalyzer(w.requests));
+  server->place_and_create(w.file_sizes);
+  server->distribute_patterns({}, w.requests.duration());
   for (auto& n : nodes) {
     n->start_prefetch({}, [] {});
   }
   sim.run();
   for (auto& n : nodes) n->begin_replay(sim.now());
 
+  // Offline popularity: the request log has no reader, so routing leaves
+  // it empty.
   Tick done = -1;
   const trace::TraceRecord r = w.requests[0];
   server->route(r, client_ep,
@@ -113,6 +116,19 @@ TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
   sim.run();
   EXPECT_GT(done, 0);
   EXPECT_EQ(server->requests_routed(), 1u);
+  EXPECT_EQ(server->request_log().size(), 0u);
+
+  // While the online refresh runs, every routed request is logged once.
+  server->begin_online_refresh(4, seconds_to_ticks(3600.0));
+  done = -1;
+  server->route(r, client_ep,
+                [&](Tick t, core::RequestStatus) {
+                  done = t;
+                  server->stop_online_refresh();
+                });
+  sim.run();
+  EXPECT_GT(done, 0);
+  EXPECT_EQ(server->requests_routed(), 2u);
   EXPECT_EQ(server->request_log().size(), 1u);
   EXPECT_EQ(server->request_log().accesses(r.file), 1u);
 }
@@ -120,7 +136,7 @@ TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
 TEST_F(StorageServerTest, PopularityAccessorReflectsHistory) {
   EXPECT_EQ(server->popularity(), nullptr);
   server->register_nodes(raw);
-  server->ingest_history(w);
+  server->ingest_popularity(trace::PopularityAnalyzer(w.requests));
   ASSERT_NE(server->popularity(), nullptr);
   EXPECT_EQ(server->popularity()->ranked().size(), w.requests.unique_files());
 }

@@ -1,7 +1,7 @@
 // Streaming workload path: SyntheticStream must reproduce
 // generate_synthetic record-for-record, and Cluster::run_stream must
-// agree with Cluster::run whenever the two paths are semantically
-// identical (no power hints in play, no arrival-time ties).
+// agree with Cluster::run whenever the hints the two entries derive are
+// not consulted.
 #include "workload/stream.hpp"
 
 #include <gtest/gtest.h>
@@ -58,37 +58,68 @@ TEST(StreamWorkload, MatchesGenerateSyntheticJitteredAndDispersed) {
 }
 
 // With prefetching off and the power policy disabled the streaming
-// path's modeled access-pattern hints are never consulted, and a
-// non-zero inter-arrival delay rules out same-tick arrival ties — so
-// run() and run_stream() execute the identical event sequence and every
-// metric must match bit-exactly.
+// path's modeled access-pattern hints are never consulted, so run() and
+// run_stream() execute the identical replay and every metric must match
+// bit-exactly — same-tick arrival ties included (both entries wake the
+// clients one pull reaches in client-index order).
 TEST(StreamWorkload, RunStreamMatchesRunWithoutHints) {
-  SyntheticConfig wcfg;
-  wcfg.num_requests = 300;
-  wcfg.mu = 100.0;
-  wcfg.inter_arrival_ms = 700.0;
-
   core::ClusterConfig ccfg = baseline::eevfs_pf();
   ccfg.enable_prefetch = false;
   ccfg.power_policy = core::PowerPolicy::kNone;
 
-  core::Cluster eager(ccfg);
-  const core::RunMetrics a = eager.run(generate_synthetic(wcfg));
-  core::Cluster lazy(ccfg);
-  const core::RunMetrics b = lazy.run_stream(make_synthetic_stream(wcfg));
+  for (const double gap_ms : {700.0, 0.0}) {
+    SCOPED_TRACE(gap_ms);
+    SyntheticConfig wcfg;
+    wcfg.num_requests = 300;
+    wcfg.mu = 100.0;
+    wcfg.inter_arrival_ms = gap_ms;
 
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.total_joules, b.total_joules);  // bit-exact
-  EXPECT_EQ(a.disk_joules, b.disk_joules);
-  EXPECT_EQ(a.bytes_served, b.bytes_served);
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
-  EXPECT_EQ(a.data_disk_reads, b.data_disk_reads);
-  EXPECT_EQ(a.response_time_sec.mean(), b.response_time_sec.mean());
-  EXPECT_EQ(a.response_p99_sec, b.response_p99_sec);
-  // The pump adds its own re-arm/wake bookkeeping events, so the
-  // streaming run executes strictly more events for the same outcome.
-  EXPECT_GT(lazy.executed_events(), eager.executed_events());
+    core::Cluster eager(ccfg);
+    const core::RunMetrics a = eager.run(generate_synthetic(wcfg));
+    core::Cluster lazy(ccfg);
+    const core::RunMetrics b = lazy.run_stream(make_synthetic_stream(wcfg));
+
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.total_joules, b.total_joules);  // bit-exact
+    EXPECT_EQ(a.disk_joules, b.disk_joules);
+    EXPECT_EQ(a.bytes_served, b.bytes_served);
+    EXPECT_EQ(a.buffer_hits, b.buffer_hits);
+    EXPECT_EQ(a.data_disk_reads, b.data_disk_reads);
+    EXPECT_EQ(a.response_time_sec.mean(), b.response_time_sec.mean());
+    EXPECT_EQ(a.response_p99_sec, b.response_p99_sec);
+    EXPECT_EQ(eager.stream_peak_resident_records(), 0u);
+    if (gap_ms > 0.0) {
+      // The 1 s window re-arms the pump between arrivals, so the
+      // streaming run executes strictly more events for the same outcome.
+      EXPECT_GT(lazy.executed_events(), eager.executed_events());
+    } else {
+      // Every arrival lands on one tick: one pull takes the whole trace
+      // in both entries and no pump timer fires.
+      EXPECT_EQ(lazy.executed_events(), eager.executed_events());
+    }
+  }
+}
+
+// num_requests is checked against what the setup pass counts.  Trusted,
+// an overstated count drains the simulation with responses still
+// "outstanding", and an understated one finishes the run (metering and
+// shutting the nodes down) while records are still queued.
+void expect_miscount_rejected(std::size_t declared) {
+  SyntheticConfig wcfg;
+  wcfg.num_requests = 50;
+  StreamingWorkload w = make_synthetic_stream(wcfg);
+  w.num_requests = declared;
+  core::Cluster c(baseline::eevfs_pf());
+  EXPECT_THROW(c.run_stream(w), std::invalid_argument);
+}
+
+TEST(StreamWorkload, RunStreamRejectsOverstatedRequestCount) {
+  expect_miscount_rejected(51);
+}
+
+TEST(StreamWorkload, RunStreamRejectsUnderstatedRequestCount) {
+  expect_miscount_rejected(49);
 }
 
 TEST(StreamWorkload, RunStreamServesAllWithBoundedResidency) {
